@@ -10,7 +10,8 @@ Dataflow, at the DataFrame layer throughout:
    builds its (shard, segment) groups sequentially, exactly like one
    executor draining its task queue;
 3. each group's HNSW index is built inside the task and serialized to the
-   index store ("HDFS") *from the executor itself*;
+   index store ("HDFS") *from the executor itself* (by the driver for an
+   empty one: every (shard, segment) of the S×M grid gets an index);
 4. metadata + the segmenter are written from the driver.
 """
 from __future__ import annotations
@@ -63,58 +64,57 @@ def build_index(
         (F.col("shard_id") * F.lit(n_segments) + F.col("segment_id")) % F.lit(n_exec),
     )
 
-    root = store.root
-    dim_holder: dict[str, int] = {}
+    first = df.select(vec_col).head()
+    if first is None:
+        raise ValueError("cannot build an index from an empty input")
+    dim = len(first[0])
+
+    def build_one(s: int, m: int, vecs: np.ndarray, ids: np.ndarray) -> dict:
+        t0 = time.perf_counter()
+        idx = HNSWIndex(
+            dim, M=hnsw_m, ef_construction=ef_construction, metric=metric,
+            seed=seed + 1_000_003 * s + m,
+        )
+        idx.add_items(vecs, ids)
+        return {
+            "shard_id": s,
+            "segment_id": m,
+            "n_items": len(ids),
+            "path": store.write_index_bytes(s, m, idx.to_bytes()),
+            "build_seconds": time.perf_counter() - t0,
+        }
 
     def build_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        local_store = IndexStore(root)
         for (s, m), grp in sorted(pdf.groupby(["shard_id", "segment_id"])):
             grp = grp.sort_values(id_col)  # deterministic insertion order
             vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
-            ids = grp[id_col].to_numpy(np.int64)
-            t0 = time.perf_counter()
-            idx = HNSWIndex(
-                vecs.shape[1],
-                M=hnsw_m,
-                ef_construction=ef_construction,
-                metric=metric,
-                seed=seed + 1_000_003 * int(s) + int(m),
-            )
-            idx.add_items(vecs, ids)
-            blob = idx.to_bytes()
-            path = local_store.write_index_bytes(int(s), int(m), blob)
-            rows.append(
-                {
-                    "shard_id": int(s),
-                    "segment_id": int(m),
-                    "n_items": int(len(ids)),
-                    "path": path,
-                    "build_seconds": time.perf_counter() - t0,
-                }
-            )
-        return pd.DataFrame(
-            rows,
-            columns=["shard_id", "segment_id", "n_items", "path", "build_seconds"],
-        )
+            rows.append(build_one(int(s), int(m), vecs, grp[id_col].to_numpy(np.int64)))
+        return pd.DataFrame(rows)
 
-    summary = (
+    built = (
         tagged.repartition(n_exec, "bucket")
         .groupBy("bucket")
-        .applyInPandas(lambda _, pdf: build_bucket(pdf), schema=BUILD_SUMMARY_SCHEMA)
+        .applyInPandas(build_bucket, schema=BUILD_SUMMARY_SCHEMA)
         .toPandas()
-        .sort_values(["shard_id", "segment_id"])
-        .reset_index(drop=True)
     )
-    if summary.empty:
-        raise ValueError("build produced no partitions — is the input empty?")
+    # A (shard, segment) that received no rows gets an empty index.
+    done = set(zip(built["shard_id"].tolist(), built["segment_id"].tolist()))
+    empty = [
+        build_one(s, m, np.empty((0, dim), np.float32), np.empty(0, np.int64))
+        for s in range(n_shards)
+        for m in range(n_segments)
+        if (s, m) not in done
+    ]
+    if empty:
+        built = pd.concat([built, pd.DataFrame(empty)], ignore_index=True)
+    summary = built.sort_values(["shard_id", "segment_id"]).reset_index(drop=True)
 
     # Driver-side: metadata + segmenter accompany the index (Fig 6).
-    first_vec = df.select(vec_col).head()[0]
     store.save_segmenter(segmenter)
     store.save_metadata(
         IndexMetadata(
-            dim=len(first_vec),
+            dim=dim,
             metric=metric,
             n_shards=n_shards,
             n_segments=n_segments,

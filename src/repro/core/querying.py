@@ -9,9 +9,9 @@ Stages, each one a DataFrame transformation:
    shard × the segment(s) the broadcast segmenter selects for it, and
    the (shard, segment) probes are grouped into executor buckets
    (DESIGN.md substitution #4);
-3. partial search: each bucket task loads its (shard, segment) HNSW
-   indices from the store and searches its queries with k =
-   ``perShardTopK`` (Sec 5.3.2 — propagated unchanged to segments);
+3. partial search with ``repro.core.search.search_probes`` (online serving's
+   kernel too): each bucket task searches its (shard, segment) HNSW indices
+   from the store with k = ``perShardTopK`` (Sec 5.3.2 — unchanged per segment);
 4. segment-level merge per (query, shard) — in production this happens
    inside the shard's server node;
 5. shard-level merge per query — the broker-side final merge.
@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
 from repro.core.index_store import IndexStore
 from repro.core.partitioner import route_queries
+from repro.core.search import search_probes
 from repro.core.topk import per_shard_topk
 from repro.synth_data import vectors_to_df
 
@@ -48,7 +49,6 @@ def query_index(
     use_per_shard_topk: bool = True,
     n_executors: int | None = None,
     checkpoint_dir: str | None = None,
-    n_query_partitions: int | None = None,
 ) -> DataFrame:
     """Search the stored index for the top-``topk`` neighbors of each query.
 
@@ -69,8 +69,6 @@ def query_index(
 
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     qdf = vectors_to_df(spark, queries, id_col="query_id")
-    if n_query_partitions:
-        qdf = qdf.repartition(n_query_partitions)
     if checkpoint_dir is not None:  # Fig 7: query partitions persisted first
         qdf = checkpoint(qdf, spark, checkpoint_dir, "query-partitions")
 
@@ -82,40 +80,23 @@ def query_index(
         % F.lit(n_exec),
     )
 
-    root, ef_eff = store.root, ef
-
     def search_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        local_store = IndexStore(root)
-        frames = []
-        for (s, m), grp in sorted(pdf.groupby(["shard_id", "segment_id"])):
-            idx = local_store.read_index(int(s), int(m))
-            qvecs = np.stack(grp["vector"].to_numpy()).astype(np.float32)
-            qids = grp["query_id"].to_numpy(np.int64)
-            nn_ids, nn_d = idx.search(qvecs, pstk, ef=ef_eff)
-            kk = nn_ids.shape[1]
-            if kk == 0:
-                continue
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "query_id": np.repeat(qids, kk),
-                        "shard_id": np.int64(s),
-                        "segment_id": np.int64(m),
-                        "neighbor_id": nn_ids.reshape(-1),
-                        "dist": nn_d.reshape(-1).astype(np.float64),
-                    }
-                )
+        return pd.DataFrame(
+            search_probes(
+                store.read_index,
+                pdf["query_id"].to_numpy(np.int64),
+                np.stack(pdf["vector"].to_numpy()).astype(np.float32),
+                pdf["shard_id"].to_numpy(),
+                pdf["segment_id"].to_numpy(),
+                pstk,
+                ef,
             )
-        if not frames:
-            return pd.DataFrame(
-                columns=["query_id", "shard_id", "segment_id", "neighbor_id", "dist"]
-            )
-        return pd.concat(frames, ignore_index=True)
+        )
 
     partials = (
         routed.repartition(n_exec, "bucket")
         .groupBy("bucket")
-        .applyInPandas(lambda _, pdf: search_bucket(pdf), schema=PARTIAL_SCHEMA)
+        .applyInPandas(search_bucket, schema=PARTIAL_SCHEMA)
     )
     if checkpoint_dir is not None:
         partials = checkpoint(partials, spark, checkpoint_dir, "partials")

@@ -123,32 +123,3 @@ def run_lanns_experiment(
             res.recall[method] = recall_table(out, gt_ids, ks)  # last E's result
     df.unpersist()
     return res
-
-
-# ----------------------------------------------------------- table rendering
-def format_recall_table(res: ExperimentResult, ks: tuple[int, ...]) -> str:
-    """Render a Tables-1/4-style recall table."""
-    lines = ["Method".ljust(12) + "".join(f"R@{k}".rjust(9) for k in ks)]
-    for method, row in res.recall.items():
-        lines.append(
-            method.ljust(12) + "".join(f"{row.get(k, float('nan')):9.4f}" for k in ks)
-        )
-    return "\n".join(lines)
-
-
-def format_time_table(
-    times: dict[tuple[str, int], float],
-    executors: tuple[int, ...],
-    *,
-    unit: str = "s",
-) -> str:
-    """Render a Tables-2/3/5/6-style (method x executors) timing table."""
-    methods = sorted({m for m, _ in times}, key=str)
-    lines = ["Executors".ljust(11) + "".join(m.rjust(14) for m in methods)]
-    for e in executors:
-        cells = []
-        for m in methods:
-            v = times.get((m, e))
-            cells.append(("-" if v is None else f"{v:.2f}{unit}").rjust(14))
-        lines.append(str(e).ljust(11) + "".join(cells))
-    return "\n".join(lines)

@@ -4,8 +4,9 @@ One ``Searcher`` per shard deserializes that shard's segment indices
 plus the shared segmenter/metadata from the index store; a ``Broker``
 computes perShardTopK, fans queries out to all searchers, and performs
 the final merge — the same two-level merge as the offline pipeline, but
-in-process. Used for Table 7's QPS/recall spill study and for QPS/p99
-measurements.
+in-process, with the offline pipeline's search kernel and a numpy twin of
+its merge (``repro.core.search``). Used for Table 7's QPS/recall spill
+study and for QPS/p99 measurements.
 """
 from repro.serving.searcher import Searcher
 from repro.serving.broker import Broker, ServingStats

@@ -2,13 +2,13 @@
 (paper Sec 7, Fig 9 — and the measurement vehicle for Table 7)."""
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.index_store import IndexStore
+from repro.core.search import merge_candidates
 from repro.core.topk import per_shard_topk
 from repro.serving.searcher import Searcher
 
@@ -48,16 +48,10 @@ class Broker:
             if self.use_per_shard_topk
             else topk
         )
-        merged: dict[int, float] = {}
-        for searcher in self.searchers:  # broker-side fan-out + final merge
-            for d, i in searcher.search(query, pstk):
-                prev = merged.get(i)
-                if prev is None or d < prev:
-                    merged[i] = d
-        best = heapq.nsmallest(topk, ((d, i) for i, d in merged.items()))
-        ids = np.asarray([i for _, i in best], dtype=np.int64)
-        dists = np.asarray([d for d, _ in best], dtype=np.float32)
-        return ids, dists
+        # Broker-side fan-out + final merge.
+        ids, dists = zip(*(s.search(query, pstk) for s in self.searchers))
+        ids, dists = merge_candidates(np.concatenate(ids), np.concatenate(dists), topk)
+        return ids, dists.astype(np.float32)
 
     def benchmark(
         self, queries: np.ndarray, topk: int

@@ -3,15 +3,15 @@
 Startup mirrors production: the serialized indices + persisted metadata
 are deserialized into native structures "with minimal additional
 configuration", so the online path cannot diverge from the offline build
-(distance function, segmenter and spill mode all come from the store).
+(distance function, segmenter and spill mode all come from the store),
+and it searches with the offline pipeline's kernel, ``repro.core.search``.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from repro.core.index_store import IndexStore
+from repro.core.search import merge_candidates, search_probes
 
 
 class Searcher:
@@ -20,15 +20,13 @@ class Searcher:
     def __init__(self, store: IndexStore, shard_id: int, *, ef: int | None = None):
         self.shard_id = int(shard_id)
         self.meta = store.load_metadata()
+        if not 0 <= self.shard_id < self.meta.n_shards:
+            raise ValueError(f"shard {shard_id} not in 0..{self.meta.n_shards - 1}")
         self.segmenter = store.load_segmenter()
         self.ef = ef
         self._segments = {
-            m: store.read_index(shard_id, m)
-            for s, m in store.list_partitions()
-            if s == shard_id
+            m: store.read_index(self.shard_id, m) for m in range(self.meta.n_segments)
         }
-        if not self._segments:
-            raise ValueError(f"no segments on disk for shard {shard_id}")
 
     @property
     def n_segments(self) -> int:
@@ -36,23 +34,16 @@ class Searcher:
 
     def search(
         self, query: np.ndarray, per_shard_topk: int
-    ) -> list[tuple[float, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Route to segment(s), search each, merge in-node (level-1 merge).
 
-        Returns up to ``per_shard_topk`` (dist, id) pairs ascending.
+        Returns up to ``per_shard_topk`` (ids, dists) ascending.
         """
         query = np.asarray(query, dtype=np.float32).reshape(1, -1)
         segs = self.segmenter.route(query, spill=self.meta.spill)[0]
-        candidates: dict[int, float] = {}
-        for m in segs:
-            idx = self._segments.get(int(m))
-            if idx is None:
-                continue
-            ids, dists = idx.search(query, per_shard_topk, ef=self.ef)
-            for i, d in zip(ids[0].tolist(), dists[0].tolist()):
-                prev = candidates.get(i)
-                if prev is None or d < prev:
-                    candidates[i] = d
-        return heapq.nsmallest(
-            per_shard_topk, ((d, i) for i, d in candidates.items())
+        n = len(segs)
+        partial = search_probes(
+            lambda _, m: self._segments[m], np.zeros(n, np.int64), np.repeat(query, n, axis=0),
+            np.full(n, self.shard_id), segs, per_shard_topk, self.ef,
         )
+        return merge_candidates(partial["neighbor_id"], partial["dist"], per_shard_topk)

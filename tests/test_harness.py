@@ -2,12 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.harness import (
-    ExperimentResult,
-    format_recall_table,
-    format_time_table,
-    run_lanns_experiment,
-)
+from repro.eval.harness import ExperimentResult, run_lanns_experiment
 from repro.synth_data import gaussian_mixture
 
 
@@ -49,15 +44,6 @@ class TestHarness:
 
     def test_segmenter_learning_times(self, result):
         assert "APD(1,2)" in result.segmenter_learn_seconds
-
-    def test_format_recall_table(self, result):
-        txt = format_recall_table(result, (1, 5, 10))
-        assert "HNSW" in txt and "R@10" in txt
-        assert len(txt.splitlines()) == 1 + len(result.recall)
-
-    def test_format_time_table(self, result):
-        txt = format_time_table(result.build_seconds, (2,), unit="s")
-        assert "Executors" in txt and "2" in txt.splitlines()[1]
 
     def test_result_dataclass_fields(self, result):
         assert isinstance(result, ExperimentResult)

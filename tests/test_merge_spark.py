@@ -6,18 +6,22 @@ import pandas as pd
 import pytest
 
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
+from repro.core.search import merge_candidates
 from repro.oracle import assert_equivalent
 
 
-def _partials(seed=0, n_queries=12, n_shards=3, n_segments=2, k=8) -> pd.DataFrame:
+def _partials(
+    seed=0, n_queries=12, n_shards=3, n_segments=2, k=8, n_ids=1000
+) -> pd.DataFrame:
     """Synthetic partial results with deliberate distance ties (rounded to
-    2 decimals) so the (dist, neighbor_id) tiebreak is actually exercised."""
+    2 decimals) so the (dist, neighbor_id) tiebreak is actually exercised;
+    a small ``n_ids`` makes one neighbor reach a query from several lists."""
     g = np.random.default_rng(seed)
     rows = []
     for q in range(n_queries):
         for s in range(n_shards):
             for m in range(n_segments):
-                nbr = g.choice(1000, size=k, replace=False)
+                nbr = g.choice(n_ids, size=k, replace=False)
                 d = np.round(g.random(k) * 10, 2)
                 for i in range(k):
                     rows.append((q, s, m, int(nbr[i]), float(d[i])))
@@ -54,6 +58,23 @@ def test_query_level_merge_oracle(spark, k):
     pdf = _partials()
     got = merge_topk(spark.createDataFrame(pdf), k)
     assert_equivalent(got, MERGE_SQL.format(k=k), partials=pdf)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 50])
+def test_merge_candidates_equals_merge_topk(spark, k):
+    """The numpy merge of the online path equals the oracle-checked Spark
+    merge row for row, duplicate ids and distance ties included."""
+    pdf = _partials(seed=11, n_ids=40)
+    assert pdf.duplicated(["query_id", "neighbor_id"]).any()
+    assert pdf.duplicated(["query_id", "dist"]).any()
+    want = merge_topk(spark.createDataFrame(pdf), k).toPandas()
+    for q, grp in pdf.groupby("query_id"):
+        ids, dists = merge_candidates(
+            grp["neighbor_id"].to_numpy(), grp["dist"].to_numpy(), k
+        )
+        exp = want[want.query_id == q].sort_values("rank")
+        np.testing.assert_array_equal(ids, exp["neighbor_id"].to_numpy())
+        np.testing.assert_array_equal(dists, exp["dist"].to_numpy())
 
 
 @pytest.mark.parametrize("k", [2, 5])

@@ -3,6 +3,7 @@ query (Fig 7), with the final merge oracle-verified from checkpointed
 partials and the index contents cross-checked against an independent
 driver-side reference build."""
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -12,7 +13,8 @@ from repro.bruteforce.local import exact_topk
 from repro.core import IndexStore, build_index, per_shard_topk, query_index
 from repro.eval.recall import recall_at_k
 from repro.oracle import assert_equivalent
-from repro.segmenters import learn_segmenter
+from repro.segmenters import RandomSegmenter, learn_segmenter
+from repro.serving import Broker
 from repro.synth_data import gaussian_mixture, vectors_to_df
 from tests.util import reference_partition_map
 
@@ -180,11 +182,55 @@ class TestQuery:
 
     def test_matches_serving_broker(self, spark, ds, apd_store_root):
         """Offline Spark pipeline ≡ online broker path on the same store."""
-        from repro.serving import Broker
-
-        res = query_index(spark, apd_store_root, ds.queries[:20], 10, ef=100).toPandas()
+        res = query_index(spark, apd_store_root, ds.queries, 10, ef=100).toPandas()
         broker = Broker(IndexStore(apd_store_root), ef=100)
-        for q in range(20):
-            ids, _ = broker.search(ds.queries[q], 10)
-            offline = res[res.query_id == q].sort_values("rank")["neighbor_id"]
-            assert set(offline.tolist()) == set(ids.tolist())
+        for q in range(len(ds.queries)):
+            ids, dists = broker.search(ds.queries[q], 10)
+            offline = res[res.query_id == q].sort_values("rank")
+            np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
+            np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)
+
+
+class TestEmptyPartitions:
+    """12 points over RS with 2 shards × 8 segments: several (shard, segment)
+    partitions receive no rows, yet both query paths see the full grid."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, spark, tmp_path_factory):
+        ds = gaussian_mixture(n=12, dim=6, n_clusters=2, n_queries=5, seed=7)
+        root = str(tmp_path_factory.mktemp("tiny") / "rs")
+        summary = build_index(spark, vectors_to_df(spark, ds.base, ds.ids), root,
+                              RandomSegmenter(8), 2, n_executors=4,
+                              ef_construction=20, hnsw_m=4)
+        return ds, root, summary
+
+    def test_full_grid_built(self, tiny):
+        _, root, summary = tiny
+        grid = [(s, m) for s in range(2) for m in range(8)]
+        assert list(zip(summary["shard_id"], summary["segment_id"])) == grid
+        assert (summary["n_items"] == 0).any() and summary["n_items"].sum() == 12
+        assert IndexStore(root).list_partitions() == grid
+
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_offline_and_online_agree(self, spark, tiny, k):
+        ds, root, _ = tiny
+        res = query_index(spark, root, ds.queries, k, ef=50).toPandas()
+        broker = Broker(IndexStore(root), ef=50)
+        for q in range(len(ds.queries)):
+            offline = res[res.query_id == q].sort_values("rank")
+            assert offline["rank"].tolist() == list(range(1, min(k, 12) + 1))
+            ids, _ = broker.search(ds.queries[q], k)
+            np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
+
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_missing_partition_raises(self, spark, tiny, tmp_path, empty):
+        """A lost file, empty partition or not, fails both paths loudly."""
+        ds, root, summary = tiny
+        lost = summary[(summary["n_items"] == 0) == empty].iloc[0]
+        broken = str(tmp_path / "broken")
+        shutil.copytree(root, broken)
+        os.remove(IndexStore(broken).index_path(lost["shard_id"], lost["segment_id"]))
+        with pytest.raises(Exception, match="FileNotFoundError"):
+            query_index(spark, broken, ds.queries, 5, ef=50).toPandas()
+        with pytest.raises(FileNotFoundError):
+            Broker(IndexStore(broken), ef=50)

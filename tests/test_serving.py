@@ -39,10 +39,9 @@ class TestSearcher:
 
     def test_results_sorted_and_bounded(self, rs_store, ds):
         s = Searcher(rs_store, 0, ef=100)
-        out = s.search(ds.queries[0], 10)
-        assert len(out) <= 10
-        dists = [d for d, _ in out]
-        assert dists == sorted(dists)
+        ids, dists = s.search(ds.queries[0], 10)
+        assert len(ids) == len(dists) <= 10
+        assert dists.tolist() == sorted(dists.tolist())
 
     def test_rs_probes_all_segments(self, rs_store, ds):
         """RS has no locality: searcher results must equal an exhaustive
@@ -56,8 +55,8 @@ class TestSearcher:
         vecs = np.vstack(all_vecs)
         gt, _ = exact_topk(ds.queries[:5], vecs, 10, ids=ids)
         for qi in range(5):
-            got = [i for _, i in s.search(ds.queries[qi], 10)]
-            assert set(got) == set(gt[qi].tolist())
+            got, _ = s.search(ds.queries[qi], 10)
+            assert set(got.tolist()) == set(gt[qi].tolist())
 
 
 class TestBroker:

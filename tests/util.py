@@ -42,14 +42,16 @@ def build_local_store(
     store = IndexStore(root)
     parts = reference_partition_map(ds, segmenter, n_shards, spill=spill)
     id_to_row = {int(i): r for r, i in enumerate(ds.ids)}
-    for (s, m), ids in parts.items():
-        rows = np.asarray([id_to_row[int(i)] for i in ids])
-        idx = HNSWIndex(
-            ds.dim, M=hnsw_m, ef_construction=ef_construction, metric=ds.metric,
-            seed=seed + 1_000_003 * s + m,
-        )
-        idx.add_items(ds.base[rows], ids)
-        store.write_index_bytes(s, m, idx.to_bytes())
+    for s in range(n_shards):  # the full S×M grid, empty partitions included
+        for m in range(segmenter.n_segments):
+            ids = parts.get((s, m), np.empty(0, dtype=np.int64))
+            rows = np.asarray([id_to_row[int(i)] for i in ids], dtype=np.int64)
+            idx = HNSWIndex(
+                ds.dim, M=hnsw_m, ef_construction=ef_construction, metric=ds.metric,
+                seed=seed + 1_000_003 * s + m,
+            )
+            idx.add_items(ds.base[rows], ids)
+            store.write_index_bytes(s, m, idx.to_bytes())
     store.save_segmenter(segmenter)
     store.save_metadata(
         IndexMetadata(
