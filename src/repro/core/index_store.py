@@ -4,8 +4,8 @@ substitution #3: local filesystem standing in for HDFS).
 ```
 <root>/
   metadata.json            # written from the driver (Fig 6)
-  segmenter.bin            # the shared learnt segmenter (Fig 5)
-  shard=<s>/segment=<m>.hnsw   # serialized HNSW, written from executors
+  segmenter.bin            # the shared learnt segmenter (Fig 5): an npz, no pickle
+  shard=<s>/segment=<m>.hnsw   # serialized HNSW (still a pickle), written from executors
 ```
 
 The metadata bundles everything the online searcher needs to deserialize
@@ -19,7 +19,8 @@ import os
 from dataclasses import asdict, dataclass
 
 from repro.hnsw.graph import HNSWIndex
-from repro.segmenters.base import Segmenter, segmenter_from_bytes
+from repro.segmenters.base import Segmenter
+from repro.segmenters.learning import segmenter_from_bytes
 
 
 @dataclass(frozen=True)

@@ -69,27 +69,15 @@ def build_index(
         raise ValueError("cannot build an index from an empty input")
     dim = len(first[0])
 
-    def build_one(s: int, m: int, vecs: np.ndarray, ids: np.ndarray) -> dict:
-        t0 = time.perf_counter()
-        idx = HNSWIndex(
-            dim, M=hnsw_m, ef_construction=ef_construction, metric=metric,
-            seed=seed + 1_000_003 * s + m,
-        )
-        idx.add_items(vecs, ids)
-        return {
-            "shard_id": s,
-            "segment_id": m,
-            "n_items": len(ids),
-            "path": store.write_index_bytes(s, m, idx.to_bytes()),
-            "build_seconds": time.perf_counter() - t0,
-        }
+    hnsw = dict(metric=metric, hnsw_m=hnsw_m, ef_construction=ef_construction, seed=seed)
 
     def build_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for (s, m), grp in sorted(pdf.groupby(["shard_id", "segment_id"])):
             grp = grp.sort_values(id_col)  # deterministic insertion order
             vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
-            rows.append(build_one(int(s), int(m), vecs, grp[id_col].to_numpy(np.int64)))
+            ids = grp[id_col].to_numpy(np.int64)
+            rows.append(build_partition(store, int(s), int(m), vecs, ids, **hnsw))
         return pd.DataFrame(rows)
 
     built = (
@@ -101,7 +89,9 @@ def build_index(
     # A (shard, segment) that received no rows gets an empty index.
     done = set(zip(built["shard_id"].tolist(), built["segment_id"].tolist()))
     empty = [
-        build_one(s, m, np.empty((0, dim), np.float32), np.empty(0, np.int64))
+        build_partition(
+            store, s, m, np.empty((0, dim), np.float32), np.empty(0, np.int64), **hnsw
+        )
         for s in range(n_shards)
         for m in range(n_segments)
         if (s, m) not in done
@@ -111,19 +101,39 @@ def build_index(
     summary = built.sort_values(["shard_id", "segment_id"]).reset_index(drop=True)
 
     # Driver-side: metadata + segmenter accompany the index (Fig 6).
-    store.save_segmenter(segmenter)
-    store.save_metadata(
-        IndexMetadata(
-            dim=dim,
-            metric=metric,
-            n_shards=n_shards,
-            n_segments=n_segments,
-            segmenter_kind=segmenter.kind,
-            spill=spill,
-            alpha=float(getattr(segmenter, "alpha", 0.0)),
-            hnsw_m=hnsw_m,
-            hnsw_ef_construction=ef_construction,
-            n_items=int(summary["n_items"].sum()),
-        )
+    write_store_metadata(
+        store, segmenter, dim=dim, n_shards=n_shards, spill=spill,
+        n_items=int(summary["n_items"].sum()), metric=metric, hnsw_m=hnsw_m,
+        ef_construction=ef_construction,
     )
     return summary
+
+
+def build_partition(
+    store: IndexStore, shard_id: int, segment_id: int, vecs: np.ndarray, ids: np.ndarray,
+    *, metric: str, hnsw_m: int, ef_construction: int, seed: int,
+) -> dict:
+    """Build one (shard, segment)'s HNSW index, write it to the store and
+    return its build-summary row. The graph's seed depends only on the
+    build seed and the partition, so a rebuild writes the same bytes."""
+    t0 = time.perf_counter()
+    idx = HNSWIndex(vecs.shape[1], M=hnsw_m, ef_construction=ef_construction, metric=metric,
+                    seed=seed + 1_000_003 * shard_id + segment_id)
+    idx.add_items(vecs, ids)
+    path = store.write_index_bytes(shard_id, segment_id, idx.to_bytes())
+    return dict(shard_id=shard_id, segment_id=segment_id, n_items=len(ids), path=path,
+                build_seconds=time.perf_counter() - t0)
+
+
+def write_store_metadata(
+    store: IndexStore, segmenter: Segmenter, *, dim: int, n_shards: int, spill: str,
+    n_items: int, metric: str, hnsw_m: int, ef_construction: int,
+) -> None:
+    """Write the segmenter and ``metadata.json`` that ship with the index."""
+    store.save_segmenter(segmenter)
+    store.save_metadata(IndexMetadata(
+        dim=dim, metric=metric, n_shards=n_shards, n_segments=segmenter.n_segments,
+        segmenter_kind=segmenter.kind, spill=spill,
+        alpha=float(getattr(segmenter, "alpha", 0.0)), hnsw_m=hnsw_m,
+        hnsw_ef_construction=ef_construction, n_items=n_items,
+    ))

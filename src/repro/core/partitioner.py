@@ -13,7 +13,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.segmenters.base import Segmenter, mix64, segmenter_from_bytes
+from repro.segmenters.base import Segmenter, mix64
+from repro.segmenters.learning import segmenter_from_bytes
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
 

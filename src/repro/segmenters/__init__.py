@@ -9,18 +9,17 @@ ingested into (``assign``) and which segment(s) a query fans out to
 - **physical spill** — data inside the band is duplicated to both sides;
   queries route to exactly one segment.
 """
-from repro.segmenters.base import Segmenter, segmenter_from_bytes
-from repro.segmenters.hyperplane import HyperplaneTreeSegmenter, Node, learn_tree
+from repro.segmenters.base import Segmenter
+from repro.segmenters.hyperplane import HyperplaneTreeSegmenter, learn_tree
 from repro.segmenters.random_segmenter import RandomSegmenter
 from repro.segmenters.rh import learn_rh_segmenter
 from repro.segmenters.apd import learn_apd_segmenter
-from repro.segmenters.learning import learn_segmenter, sample_vectors
+from repro.segmenters.learning import learn_segmenter, sample_vectors, segmenter_from_bytes
 
 __all__ = [
     "Segmenter",
     "segmenter_from_bytes",
     "HyperplaneTreeSegmenter",
-    "Node",
     "learn_tree",
     "RandomSegmenter",
     "learn_rh_segmenter",

@@ -1,14 +1,15 @@
 """Segmenter interface + serialization (paper Fig 5: the learnt segmenter
-is stored once and shared by every shard's ingestion and querying)."""
+is stored once and shared by every shard's ingestion and querying). The
+stored form is an ``.npz`` of plain arrays: reading it runs no code."""
 from __future__ import annotations
 
-import pickle
+import io
+import zipfile
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 SPILL_MODES = ("virtual", "physical")
-_PICKLE_PROTO = 4
 
 
 def validate_spill(spill: str) -> str:
@@ -23,7 +24,9 @@ class Segmenter(ABC):
     (``route``). Both return one ``np.ndarray`` of segment ids per input
     row — possibly with more than one entry when spill duplicates work."""
 
+    kind: str  # 'RS', 'RH' or 'APD' (paper Sec 4.3 nomenclature)
     n_segments: int
+    _fields: tuple[str, ...]  # what to_bytes stores beside ``kind``
 
     @abstractmethod
     def assign(
@@ -35,22 +38,17 @@ class Segmenter(ABC):
     def route(self, vectors: np.ndarray, *, spill: str = "virtual") -> list[np.ndarray]:
         """Segment id(s) each query fans out to."""
 
-    @property
-    @abstractmethod
-    def kind(self) -> str:
-        """Short name: 'RS', 'RH', or 'APD' (paper Sec 4.3 nomenclature)."""
-
     def to_bytes(self) -> bytes:
-        """Serialize for the index store / Spark broadcast."""
-        return pickle.dumps(self, protocol=_PICKLE_PROTO)
-
-
-def segmenter_from_bytes(blob: bytes) -> Segmenter:
-    """Inverse of :meth:`Segmenter.to_bytes`."""
-    obj = pickle.loads(blob)
-    if not isinstance(obj, Segmenter):
-        raise TypeError(f"blob did not deserialize to a Segmenter: {type(obj)}")
-    return obj
+        """Serialize for the index store / Spark broadcast: an ``.npz`` that
+        ``np.load`` reads with ``allow_pickle=False``. Every member gets the
+        zip format's default timestamp, so equal segmenters give equal bytes."""
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            for name in ("kind", *self._fields):
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as f:
+                    value = np.asarray(getattr(self, name))
+                    np.lib.format.write_array(f, value, allow_pickle=False)
+        return buf.getvalue()
 
 
 def mix64(x: np.ndarray, salt: int = 0) -> np.ndarray:

@@ -22,5 +22,5 @@ def learn_rh_segmenter(
     depth = int(np.log2(n_segments))
     if (1 << depth) != n_segments:
         raise ValueError(f"n_segments must be a power of 2, got {n_segments}")
-    root = learn_tree(sample, depth, alpha, _random_unit, seed=seed)
-    return HyperplaneTreeSegmenter(root, kind="RH", alpha=alpha)
+    h, s, l, r = learn_tree(sample, depth, alpha, _random_unit, seed=seed)
+    return HyperplaneTreeSegmenter(h, s, l, r, kind="RH", alpha=alpha)

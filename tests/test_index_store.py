@@ -1,5 +1,6 @@
 """Unit tests for the on-disk index store (repro.core.index_store)."""
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestSegmenterPersistence:
         a = orig.assign(pts, np.arange(50))
         b = clone.assign(pts, np.arange(50))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_pickled_segmenter_is_refused_unrun(self, store, tmp_path):
+        """``segmenter.bin`` is read as plain arrays: a pickle whose
+        ``__reduce__`` would create a file is refused without running."""
+        sentinel = tmp_path / "sentinel"
+
+        class Payload:
+            def __reduce__(self):
+                return (open, (str(sentinel), "w"))
+
+        with open(store.segmenter_path, "wb") as f:
+            f.write(pickle.dumps(Payload()))
+        with pytest.raises(ValueError):
+            store.load_segmenter()
+        assert not sentinel.exists()
 
 
 class TestIndexFiles:

@@ -12,7 +12,7 @@ from repro.segmenters import (
     segmenter_from_bytes,
 )
 from repro.segmenters.base import mix64, validate_spill
-from repro.segmenters.hyperplane import Node, learn_tree, tree_depth
+from repro.segmenters.hyperplane import learn_tree
 from repro.synth_data import gaussian_mixture
 
 
@@ -92,11 +92,16 @@ class TestRandomSegmenter:
 class TestLearnTree:
     def test_depth_and_leaf_count(self, ds):
         for depth in (1, 2, 3):
-            root = learn_tree(
+            h, s, l, r = learn_tree(
                 ds.base, depth, 0.1,
                 lambda s, r: r.standard_normal(s.shape[1]), seed=0,
             )
-            assert tree_depth(root) == depth
+            n_nodes = (1 << depth) - 1
+            assert h.shape == (n_nodes, ds.dim)
+            assert s.shape == l.shape == r.shape == (n_nodes,)
+            assert all(a.dtype == np.float32 for a in (h, s, l, r))
+            seg = HyperplaneTreeSegmenter(h, s, l, r, kind="RH", alpha=0.1)
+            assert seg.n_segments == 1 << depth
 
     def test_invalid_inputs(self, ds):
         fn = lambda s, r: r.standard_normal(s.shape[1])
@@ -110,23 +115,27 @@ class TestLearnTree:
             learn_tree(ds.base, 1, 0.1, lambda s, r: np.zeros(s.shape[1]))
 
     def test_node_band_brackets_split(self, ds):
-        root = learn_tree(
+        h, s, l, r = learn_tree(
             ds.base, 3, 0.15, lambda s, r: r.standard_normal(s.shape[1]), seed=1
         )
-
-        def walk(node):
-            if isinstance(node, int):
-                return
-            assert node.l <= node.s <= node.r
-            assert abs(np.linalg.norm(node.h) - 1.0) < 1e-5
-            walk(node.left)
-            walk(node.right)
-
-        walk(root)
+        assert np.all(l <= s) and np.all(s <= r)
+        np.testing.assert_allclose(np.linalg.norm(h, axis=1), 1.0, atol=1e-5)
 
     def test_node_validation(self):
-        with pytest.raises(ValueError):
-            Node(h=np.ones(2), s=0.0, l=0.5, r=1.0, left=0, right=1)
+        h, s, l, r = np.ones((3, 2)), np.zeros(3), np.full(3, -1.0), np.ones(3)
+        HyperplaneTreeSegmenter(h, s, l, r, kind="RH", alpha=0.1)  # valid
+        bad = [
+            (h, s, l + 1.5, r),  # l > s
+            (h, s, l, r - 1.5),  # s > r
+            (h[:2], s[:2], l[:2], r[:2]),  # 2 rows is not 2^L - 1
+            (h[:0], s[:0], l[:0], r[:0]),  # no nodes
+            (h, s, l, r[:2]),  # lengths differ
+            (np.where(np.eye(3, 2) > 0, np.nan, h), s, l, r),  # non-finite
+            (h, s, np.full(3, -np.inf), r),  # non-finite
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                HyperplaneTreeSegmenter(*args, kind="RH", alpha=0.1)
 
 
 class TestHyperplaneSegmenters:
@@ -265,17 +274,21 @@ class TestLearnSegmenterFactory:
         assert seg.n_segments == 4
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    depth=st.integers(1, 3),
+    n=st.one_of(st.integers(2, 12), st.just(200)),
+    depth=st.integers(1, 4),
     alpha=st.floats(0.0, 0.3),
     seed=st.integers(0, 50),
+    learner=st.sampled_from([learn_rh_segmenter, learn_apd_segmenter]),
 )
-def test_property_rh_partition_is_total(depth, alpha, seed):
-    """Every point lands in >= 1 valid segment in both spill modes."""
+def test_property_rh_partition_is_total(n, depth, alpha, seed, learner):
+    """Every point lands in >= 1 valid segment in both spill modes, also
+    when the sample is smaller than the tree (n < 2^depth: empty nodes)."""
     g = np.random.default_rng(seed)
     data = g.normal(size=(200, 6)).astype(np.float32)
-    seg = learn_rh_segmenter(data, 1 << depth, alpha=alpha, seed=seed)
+    seg = learner(data[:n], 1 << depth, alpha=alpha, seed=seed)
+    assert seg.n_segments == 1 << depth
     for spill in ("virtual", "physical"):
         for a in seg.assign(data, np.arange(200), spill=spill):
             assert len(a) >= 1

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.index_store import IndexMetadata, IndexStore
+from repro.core.index_store import IndexStore
+from repro.core.indexing import build_partition, write_store_metadata
 from repro.core.partitioner import shard_of
-from repro.hnsw.graph import HNSWIndex
 from repro.segmenters.base import Segmenter
 from repro.synth_data import AnnDataset
 
@@ -42,24 +42,15 @@ def build_local_store(
     store = IndexStore(root)
     parts = reference_partition_map(ds, segmenter, n_shards, spill=spill)
     id_to_row = {int(i): r for r, i in enumerate(ds.ids)}
+    hnsw = dict(metric=ds.metric, hnsw_m=hnsw_m, ef_construction=ef_construction, seed=seed)
     for s in range(n_shards):  # the full S×M grid, empty partitions included
         for m in range(segmenter.n_segments):
             ids = parts.get((s, m), np.empty(0, dtype=np.int64))
             rows = np.asarray([id_to_row[int(i)] for i in ids], dtype=np.int64)
-            idx = HNSWIndex(
-                ds.dim, M=hnsw_m, ef_construction=ef_construction, metric=ds.metric,
-                seed=seed + 1_000_003 * s + m,
-            )
-            idx.add_items(ds.base[rows], ids)
-            store.write_index_bytes(s, m, idx.to_bytes())
-    store.save_segmenter(segmenter)
-    store.save_metadata(
-        IndexMetadata(
-            dim=ds.dim, metric=ds.metric, n_shards=n_shards,
-            n_segments=segmenter.n_segments, segmenter_kind=segmenter.kind,
-            spill=spill, alpha=float(getattr(segmenter, "alpha", 0.0)),
-            hnsw_m=hnsw_m, hnsw_ef_construction=ef_construction,
-            n_items=int(sum(len(v) for v in parts.values())),
-        )
+            build_partition(store, s, m, ds.base[rows], ids, **hnsw)
+    write_store_metadata(
+        store, segmenter, dim=ds.dim, n_shards=n_shards, spill=spill,
+        n_items=int(sum(len(v) for v in parts.values())), metric=ds.metric,
+        hnsw_m=hnsw_m, ef_construction=ef_construction,
     )
     return store
