@@ -6,9 +6,9 @@ Dataflow, at the DataFrame layer throughout:
    is tagged with its shard id and segment id(s) (``tag_partitions``);
 2. the tagged dataset is repartitioned by (shard, segment) — grouped into
    *executor buckets* to model a cluster with E executors (DESIGN.md
-   substitution #4): bucket ``(s·m + seg) mod E`` is one Spark task that
-   builds its (shard, segment) groups sequentially, exactly like one
-   executor draining its task queue;
+   substitution #4): bucket ``(s·M + m) mod E`` is exactly one Spark task
+   (``to_executor_buckets``) that builds its (shard, segment) groups
+   sequentially, like one executor draining its task queue;
 3. each group's HNSW index is built inside the task and serialized to the
    index store ("HDFS") *from the executor itself* (by the driver for an
    empty one: every (shard, segment) of the S×M grid gets an index);
@@ -21,10 +21,9 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.index_store import IndexMetadata, IndexStore
-from repro.core.partitioner import tag_partitions
+from repro.core.partitioner import executor_count, tag_partitions, to_executor_buckets
 from repro.hnsw.graph import HNSWIndex
 from repro.segmenters.base import Segmenter, validate_spill
 
@@ -52,16 +51,12 @@ def build_index(
     """Build a two-level partitioned LANNS index; returns the per-partition
     build summary (shard, segment, n_items, path, build_seconds)."""
     validate_spill(spill)
-    store = IndexStore(store_root)
     n_segments = segmenter.n_segments
-    n_parts = n_shards * n_segments
-    n_exec = min(n_executors or n_parts, n_parts)
+    n_exec = executor_count(n_executors, n_shards * n_segments)
+    store = IndexStore(store_root)
 
     tagged = tag_partitions(
         spark, df, segmenter, n_shards, spill=spill, id_col=id_col, vec_col=vec_col
-    ).withColumn(
-        "bucket",
-        (F.col("shard_id") * F.lit(n_segments) + F.col("segment_id")) % F.lit(n_exec),
     )
 
     first = df.select(vec_col).head()
@@ -81,7 +76,7 @@ def build_index(
         return pd.DataFrame(rows)
 
     built = (
-        tagged.repartition(n_exec, "bucket")
+        to_executor_buckets(tagged, n_segments, n_exec)
         .groupBy("bucket")
         .applyInPandas(build_bucket, schema=BUILD_SUMMARY_SCHEMA)
         .toPandas()

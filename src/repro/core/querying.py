@@ -7,8 +7,8 @@ Stages, each one a DataFrame transformation:
    applied after every later stage);
 2. a *SearchExecutorContext* is formed: each query is routed to every
    shard × the segment(s) the broadcast segmenter selects for it, and
-   the (shard, segment) probes are grouped into executor buckets
-   (DESIGN.md substitution #4);
+   the (shard, segment) probes are grouped into executor buckets, one
+   Spark task each (DESIGN.md substitution #4, ``to_executor_buckets``);
 3. partial search with ``repro.core.search.search_probes`` (online serving's
    kernel too): each bucket task searches its (shard, segment) HNSW indices
    from the store with k = ``perShardTopK`` (Sec 5.3.2 — unchanged per segment);
@@ -17,18 +17,19 @@ Stages, each one a DataFrame transformation:
 5. shard-level merge per query — the broker-side final merge.
 
 Merges are Catalyst-planned window row_number() over (dist, neighbor_id)
-(see ``repro.bruteforce.spark_bf.merge_topk``).
+(see ``repro.bruteforce.spark_bf.merge_topk``). Both run behind one
+exchange: the partials are hash-partitioned by query_id once, and every
+aggregate and window of both levels groups by keys that contain it.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
 from repro.core.index_store import IndexStore
-from repro.core.partitioner import route_queries
+from repro.core.partitioner import executor_count, route_queries, to_executor_buckets
 from repro.core.search import search_probes
 from repro.core.topk import per_shard_topk
 from repro.synth_data import vectors_to_df
@@ -59,8 +60,7 @@ def query_index(
     store = IndexStore(store_root)
     meta = store.load_metadata()
     segmenter = store.load_segmenter()
-    n_parts = meta.n_shards * meta.n_segments
-    n_exec = min(n_executors or n_parts, n_parts)
+    n_exec = executor_count(n_executors, meta.n_shards * meta.n_segments)
     pstk = (
         per_shard_topk(topk, meta.n_shards, confidence)
         if use_per_shard_topk
@@ -74,10 +74,6 @@ def query_index(
 
     routed = route_queries(
         spark, qdf, segmenter, meta.n_shards, spill=meta.spill, id_col="query_id"
-    ).withColumn(
-        "bucket",
-        (F.col("shard_id") * F.lit(meta.n_segments) + F.col("segment_id"))
-        % F.lit(n_exec),
     )
 
     def search_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -94,12 +90,13 @@ def query_index(
         )
 
     partials = (
-        routed.repartition(n_exec, "bucket")
+        to_executor_buckets(routed, meta.n_segments, n_exec)
         .groupBy("bucket")
         .applyInPandas(search_bucket, schema=PARTIAL_SCHEMA)
     )
     if checkpoint_dir is not None:
         partials = checkpoint(partials, spark, checkpoint_dir, "partials")
+    partials = partials.repartition(n_exec, "query_id")  # the one merge exchange
 
     # Level 1: segment merge within (query, shard) — keeps perShardTopK.
     shard_results = merge_topk(partials, pstk, by=("query_id", "shard_id")).drop("rank")

@@ -5,7 +5,14 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.partitioner import route_queries, shard_of, tag_partitions
+from repro.core.partitioner import (
+    executor_count,
+    route_queries,
+    shard_of,
+    spark_hash_long,
+    tag_partitions,
+    to_executor_buckets,
+)
 from repro.oracle import assert_equivalent
 from repro.segmenters import RandomSegmenter, learn_rh_segmenter
 from repro.synth_data import gaussian_mixture, vectors_to_df
@@ -129,3 +136,36 @@ class TestRouteQueries:
         routed = route_queries(spark, qdf, rh, 2, spill="physical").toPandas()
         per = routed.groupby(["query_id", "shard_id"]).size()
         assert (per == 1).all()
+
+
+class TestExecutorBuckets:
+    """Bucket (s·M + m) mod E is Spark partition b: one task per bucket."""
+
+    def test_hash_matches_spark(self, spark):
+        vals = [0, 1, -1, 7, -42, 2**31 - 1, -(2**31), 2**31, 2**32 - 1, 2**32,
+                2**32 + 1, 3 * 2**40 + 5, -(2**40) - 3, 2**63 - 1, -(2**63)]
+        got = spark.createDataFrame([(v,) for v in vals], "x long").select(
+            "x", F.hash("x").alias("h")
+        ).collect()
+        assert {r.x: r.h for r in got} == {v: spark_hash_long(v) for v in vals}
+
+    @pytest.mark.parametrize("n_exec", [1, 2, 3, 4, 8])
+    def test_each_bucket_is_one_partition(self, spark, df, rh, ds, n_exec):
+        """Tagged (build) and routed (query) rows of a 2 × 4 grid sit in
+        partition (s·M + m) mod E."""
+        qdf = vectors_to_df(spark, ds.queries, id_col="query_id")
+        for rows in (tag_partitions(spark, df, rh, 2), route_queries(spark, qdf, rh, 2)):
+            placed = to_executor_buckets(rows, rh.n_segments, n_exec).select(
+                "shard_id", "segment_id", F.spark_partition_id().alias("part")
+            ).toPandas()
+            expect = (placed["shard_id"] * rh.n_segments + placed["segment_id"]) % n_exec
+            assert (placed["part"] == expect).all()
+            assert placed["part"].nunique() == n_exec
+
+    def test_executor_count(self):
+        assert executor_count(None, 8) == 8
+        assert executor_count(3, 8) == 3
+        assert executor_count(20, 8) == 8
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_executors"):
+                executor_count(bad, 8)

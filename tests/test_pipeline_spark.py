@@ -2,8 +2,12 @@
 query (Fig 7), with the final merge oracle-verified from checkpointed
 partials and the index contents cross-checked against an independent
 driver-side reference build."""
+import glob
 import os
+import re
 import shutil
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -39,6 +43,25 @@ def gt(ds):
 
 def _segmenter(kind, ds, m=2):
     return learn_segmenter(kind, m, sample=ds.base[:1000], alpha=0.15, seed=0)
+
+
+def _store_files(root):
+    """{relative path: bytes} of every ``*.hnsw`` file and ``metadata.json``."""
+    paths = glob.glob(os.path.join(root, "**", "*.hnsw"), recursive=True)
+    paths.append(os.path.join(root, "metadata.json"))
+    return {os.path.relpath(p, root): Path(p).read_bytes() for p in paths}
+
+
+@contextmanager
+def _no_spark_jobs(spark):
+    """Fail if a Spark job starts inside the block."""
+    sc = spark.sparkContext
+    sc.setJobGroup("no-spark-jobs", "")
+    try:
+        yield
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("no-spark-jobs") == []
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +110,29 @@ class TestBuild:
             build_index(spark, empty, str(tmp_path / "empty"), _segmenter("RS", ds), 1)
 
     def test_build_deterministic(self, spark, ds, df, tmp_path):
+        """Stores built with E = 1..4 executor buckets are byte-identical and
+        answer identically: which task builds or searches a (shard, segment)
+        does not change the result."""
         seg = _segmenter("RH", ds)
-        roots = [str(tmp_path / f"det{i}") for i in range(2)]
-        for r in roots:
-            build_index(spark, df, r, seg, 2, n_executors=3, ef_construction=40)
-        a, b = (IndexStore(r).read_index(0, 0) for r in roots)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        q = ds.queries[:10]
-        np.testing.assert_array_equal(a.search(q, 5, ef=50)[0], b.search(q, 5, ef=50)[0])
+        files, rows = [], []
+        for e in (1, 2, 3, 4):
+            root = str(tmp_path / f"det{e}")
+            build_index(spark, df, root, seg, 2, n_executors=e, ef_construction=40)
+            files.append(_store_files(root))
+            res = query_index(spark, root, ds.queries, 10, ef=50, n_executors=e).toPandas()
+            rows.append(res.sort_values(["query_id", "rank"]).reset_index(drop=True))
+        assert len(files[0]) == 2 * 2 + 1
+        for e in range(1, 4):
+            assert files[e] == files[0]
+            pd.testing.assert_frame_equal(rows[e], rows[0])
+
+    @pytest.mark.parametrize("n_executors", [0, -1])
+    def test_invalid_n_executors_raises(self, spark, ds, df, tmp_path, n_executors):
+        root = tmp_path / "bad"
+        with _no_spark_jobs(spark), pytest.raises(ValueError, match="n_executors"):
+            build_index(spark, df, str(root), _segmenter("RS", ds), 2,
+                        n_executors=n_executors)
+        assert not root.exists()
 
 
 class TestQuery:
@@ -149,6 +187,22 @@ class TestQuery:
         ) WHERE rank <= {topk}
         """
         assert_equivalent(res, sql, partials=partials)
+
+    def test_plan_has_two_exchanges(self, spark, ds, apd_store_root):
+        """One exchange places the executor buckets, one feeds both merges."""
+        res = query_index(spark, apd_store_root, ds.queries, 10, ef=80, n_executors=3)
+        res.collect()
+        plan = res._jdf.queryExecution().executedPlan()
+        if plan.nodeName() == "AdaptiveSparkPlan":
+            plan = plan.executedPlan()  # the final plan, once executed
+        keys = re.findall(r"Exchange hashpartitioning\((\w+)#\d+L?, 3\)", plan.toString())
+        assert sorted(keys) == ["bucket", "query_id"]
+        assert plan.toString().count("Exchange") == 2
+
+    @pytest.mark.parametrize("n_executors", [0, -1])
+    def test_invalid_n_executors_raises(self, spark, ds, apd_store_root, n_executors):
+        with _no_spark_jobs(spark), pytest.raises(ValueError, match="n_executors"):
+            query_index(spark, apd_store_root, ds.queries, 10, n_executors=n_executors)
 
     def test_checkpoint_stages_written(self, spark, ds, apd_store_root, tmp_path):
         ck = str(tmp_path / "stages")
