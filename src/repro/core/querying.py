@@ -30,7 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
 from repro.core.index_store import IndexStore
 from repro.core.partitioner import executor_count, route_queries, to_executor_buckets
-from repro.core.search import search_probes
+from repro.core.search import check_queries, search_probes
 from repro.core.topk import per_shard_topk
 from repro.synth_data import vectors_to_df
 
@@ -55,10 +55,12 @@ def query_index(
 
     Returns (query_id, neighbor_id, dist, rank) with rank 1..topk
     ascending by (dist, neighbor_id); query ids are row indices of
-    ``queries``.
+    ``queries``. Raises ``ValueError`` before any Spark job for queries that
+    are not 2-D, not of the store's dimension or not finite, or ``topk < 1``.
     """
     store = IndexStore(store_root)
     meta = store.load_metadata()
+    queries = np.ascontiguousarray(check_queries(queries, meta.dim, topk))
     segmenter = store.load_segmenter()
     n_exec = executor_count(n_executors, meta.n_shards * meta.n_segments)
     pstk = (
@@ -67,7 +69,6 @@ def query_index(
         else topk
     )
 
-    queries = np.ascontiguousarray(queries, dtype=np.float32)
     qdf = vectors_to_df(spark, queries, id_col="query_id")
     if checkpoint_dir is not None:  # Fig 7: query partitions persisted first
         qdf = checkpoint(qdf, spark, checkpoint_dir, "query-partitions")

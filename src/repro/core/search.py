@@ -15,6 +15,20 @@ import numpy as np
 from repro.hnsw.graph import HNSWIndex
 
 
+def check_queries(queries: np.ndarray, dim: int, topk: int) -> np.ndarray:
+    """Refuse a query batch that no index of dimension ``dim`` can answer:
+    not 2-D, another dimension, NaN or inf, or ``topk < 1``. Returns the
+    queries as float32."""
+    if topk < 1:
+        raise ValueError(f"topk must be >= 1, got {topk}")
+    queries = np.asarray(queries, dtype=np.float32)
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise ValueError(f"expected queries of shape (n, {dim}), got {queries.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite; found NaN or inf")
+    return queries
+
+
 def search_probes(
     index_of: Callable[[int, int], HNSWIndex],
     query_ids: np.ndarray,

@@ -10,25 +10,94 @@ paper's algorithms:
   layer 0) on the way down.
 - Alg 2 (SEARCH-LAYER): best-first frontier search with an ef-bounded
   result heap and a visited set.
+- Alg 2 in lockstep, for a search call with many queries (an offline
+  query's probes of one partition): every step expands, for every query
+  still searching, its closest result not yet expanded, so one gather of
+  neighbor rows (padded neighbor matrices with a sentinel node), one
+  visited-bitmap lookup, one distance product and one row sort serve them
+  all. Each query's result list is a sorted row of uint64 keys (float32
+  distance bits, node, "expanded" bit), so on data without exact
+  distance ties a query takes the same steps and gets the same results as
+  alone. Each distance comes from the same BLAS routine as on the serial
+  path, so it has the same bits.
 - Alg 4 (SELECT-NEIGHBORS-HEURISTIC): diversity-aware neighbor selection
   with keepPrunedConnections, which is what keeps recall high on the
   clustered data the LANNS segmenters produce.
 
+Ties: both paths order results by (distance, node), and on data without
+exact distance ties they return bitwise-equal ids and distances. An exact
+tie met at the ef boundary at any step of the search can make them differ
+by more than the tied members: the serial heap admits a node only if
+strictly closer than the worst result and evicts the lower node id first,
+while the lockstep row keeps the lower ids; and the serial search can
+still pop and expand a tied candidate that it has already evicted from its
+results, which the lockstep search never does. Either choice changes which
+nodes are expanded next, so it can change the search path and with it the
+whole result.
+
 Distances are computed internally as monotone surrogates (squared-L2
 offset by a per-query constant; negative inner product for cosine) and
-converted to true metric values only at the API boundary.
+converted to true metric values only at the API boundary. Vectors and
+queries with NaN or inf are refused.
 """
 from __future__ import annotations
 
 import math
 import pickle
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from repro.hnsw.distance import normalize_rows, validate_metric
 
 _PICKLE_PROTO = 4  # stable across workers/driver
+
+# A search() call with at least this many queries searches them in lockstep;
+# fewer go one at a time, the path insertion uses. Lockstep speed relative
+# to serial (M=12, one BLAS thread), at 16 / 32 / 48 / 64 queries and at a
+# partition's full batch: sift_like (n=550, d=32, ef=160) 0.97 / 1.69 / 2.04
+# / 2.42, 3.9 at 450; pymk_like (n=1971, d=16, ef=200) 1.07 / 1.82 / 2.25 /
+# 2.74, 3.4 at 197; groups_like (n=5076, d=64, ef=200) 1.05 / 1.61 / 2.16 /
+# 2.17, 3.4 at 564; neardupe_like (n=8000, d=256, ef=200) 0.54 / 0.82 / 1.03
+# / 1.21, 1.8 at 400. A call also pays O(n) to build the padded neighbor
+# matrices, so the crossover grows with the partition; at 64 lockstep won on
+# all four.
+_BATCH_MIN = 64
+# Byte budget of the lockstep search's visited bitmaps (one bool per query
+# and node): a batch is searched in chunks of queries that fit it.
+_VISITED_BYTES = 32 << 20
+
+# Lockstep result keys (uint64): the order-preserving bits of the float32
+# surrogate distance in the high half, node << 1 in the low half, and the
+# lowest bit set once the node is expanded; so keys sort by (dist, node).
+_ONE = np.uint64(1)
+_HIGH = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+_EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)  # an unused slot: sorts last, "expanded"
+_SIGN = np.uint32(0x80000000)
+
+
+def _make_keys(dist: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Unexpanded result keys for float32 surrogates ``dist`` of ``nodes``."""
+    bits = dist.view(np.uint32)
+    bits = np.where(bits >> 31 == 1, ~bits, bits | _SIGN)
+    return (bits.astype(np.uint64) << _HIGH) | (nodes.astype(np.uint64) << _ONE)
+
+
+def _key_node(keys: np.ndarray) -> np.ndarray:
+    return ((keys & _LOW) >> _ONE).astype(np.int64)
+
+
+def _key_dist(keys: np.ndarray) -> np.ndarray:
+    bits = (keys >> _HIGH).astype(np.uint32)
+    return np.where(bits >> 31 == 1, bits ^ _SIGN, ~bits).view(np.float32)
+
+
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite; found NaN or inf")
 
 
 class HNSWIndex:
@@ -87,14 +156,6 @@ class HNSWIndex:
         return self._ids
 
     # ------------------------------------------------------- internal kernels
-    def _prep_query(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float32).reshape(-1)
-        if q.shape[0] != self.dim:
-            raise ValueError(f"query dim {q.shape[0]} != index dim {self.dim}")
-        if self.metric == "cosine":
-            return normalize_rows(q[None, :])[0]
-        return q
-
     def _surrogate(self, q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Monotone distance surrogate from prepped query to internal nodes."""
         v = self._data[nodes]
@@ -224,6 +285,7 @@ class HNSWIndex:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         if ids.shape[0] != vectors.shape[0]:
             raise ValueError("ids and vectors length mismatch")
+        _check_finite(vectors, "vectors")
         stored = normalize_rows(vectors) if self.metric == "cosine" else vectors
         start = self.n_items
         self._data = np.vstack([self._data, stored])
@@ -285,12 +347,16 @@ class HNSWIndex:
 
         Returns ``(ids, dists)`` of shape (q, k'), k' = min(k, n_items),
         ids are *external* ids, dists are true metric distances ascending.
+        A call with at least ``_BATCH_MIN`` rows searches them in lockstep.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        queries = np.asarray(queries, dtype=np.float32)
+        queries = np.ascontiguousarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValueError(f"expected (q, {self.dim}) queries, got {queries.shape}")
+        _check_finite(queries, "queries")
         n = self.n_items
         kk = min(k, n)
         out_ids = np.empty((queries.shape[0], kk), dtype=np.int64)
@@ -298,16 +364,13 @@ class HNSWIndex:
         if n == 0:
             return out_ids, out_d
         ef_eff = max(ef if ef is not None else max(2 * k, 50), kk)
-        for qi in range(queries.shape[0]):
-            q_raw = queries[qi]
-            q = self._prep_query(q_raw)
-            ep = self._entry
-            ep_d = float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0])
-            for lc in range(self.max_level, 0, -1):
-                ep_d, ep = self._greedy_descend(q, ep, lc)
-            res = self._search_layer(q, [(ep_d, ep)], ef_eff, 0)[:kk]
-            nodes = np.asarray([n_ for _, n_ in res], dtype=np.int64)
-            sur = np.asarray([d for d, _ in res], dtype=np.float32)
+        prepped = normalize_rows(queries) if self.metric == "cosine" else queries
+        if queries.shape[0] >= _BATCH_MIN:
+            found = self._search_batch(prepped, ef_eff, kk)
+        else:
+            found = (self._search_one(q, ef_eff, kk) for q in prepped)
+        for qi, (nodes, sur) in enumerate(found):
+            q = prepped[qi]
             if nodes.shape[0] < kk:  # disconnected graph corner: backfill
                 missing = kk - nodes.shape[0]
                 rest = np.setdiff1d(
@@ -318,8 +381,161 @@ class HNSWIndex:
                 order = np.argsort(sur, kind="stable")
                 nodes, sur = nodes[order], sur[order]
             out_ids[qi] = self._ids[nodes]
-            out_d[qi] = self._true_dist(q_raw if self.metric == "l2" else q, sur)
+            out_d[qi] = self._true_dist(queries[qi] if self.metric == "l2" else q, sur)
         return out_ids, out_d
+
+    def _search_one(
+        self, q: np.ndarray, ef: int, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy descent, then Alg 2 at layer 0, for one prepped query.
+
+        Returns up to ``k`` (nodes, surrogate dists) ascending.
+        """
+        ep = self._entry
+        ep_d = float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0])
+        for lc in range(self.max_level, 0, -1):
+            ep_d, ep = self._greedy_descend(q, ep, lc)
+        res = self._search_layer(q, [(ep_d, ep)], ef, 0)[:k]
+        nodes = np.asarray([n for _, n in res], dtype=np.int64)
+        return nodes, np.asarray([d for d, _ in res], dtype=np.float32)
+
+    def _search_batch(
+        self, Q: np.ndarray, ef: int, k: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``_search_one`` for each row of ``Q``, all rows in lockstep.
+
+        The rows go in chunks whose visited bitmaps fit ``_VISITED_BYTES``.
+        """
+        n = self.n_items
+        links = self._padded_links()
+        data = np.vstack([self._data, np.zeros((1, self.dim), np.float32)])
+        sq_norms = np.append(self._sq_norms, np.float32(0.0))
+        chunk = max(1, _VISITED_BYTES // (n + 1))
+        for lo in range(0, Q.shape[0], chunk):
+            q = Q[lo : lo + chunk]
+            ep = np.full(q.shape[0], self._entry, dtype=np.int64)
+            ep_d = self._batch_surrogate(data, sq_norms, q, ep[:, None])[:, 0]
+            for lc in range(self.max_level, 0, -1):
+                ep_d = self._greedy_batch(data, sq_norms, q, ep, links[lc])
+            for row in self._layer0_batch(data, sq_norms, q, ep, ep_d, links[0], ef):
+                row = row[row != _EMPTY][:k]
+                yield _key_node(row), _key_dist(row)
+
+    def _padded_links(self) -> list[np.ndarray]:
+        """``_links`` as one (n + 1, width) int32 matrix per layer: row i holds
+        node i's neighbors in list order, padded with the sentinel node n."""
+        n = self.n_items
+        out = []
+        for layer in self._links:
+            lens = np.fromiter(map(len, layer.values()), np.int64, len(layer))
+            mat = np.full((n + 1, max(int(lens.max(initial=0)), 1)), n, dtype=np.int32)
+            rows = np.repeat(np.fromiter(layer.keys(), np.int64, len(layer)), lens)
+            cols = np.arange(rows.shape[0]) - np.repeat(np.cumsum(lens) - lens, lens)
+            nbrs = chain.from_iterable(layer.values())
+            mat[rows, cols] = np.fromiter(nbrs, np.int64, rows.shape[0])
+            out.append(mat)
+        return out
+
+    def _batch_surrogate(
+        self,
+        data: np.ndarray,
+        sq_norms: np.ndarray,
+        Q: np.ndarray,
+        nb: np.ndarray,
+        single: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """``_surrogate`` from row b of ``Q`` to the nodes ``nb[b]``, bitwise.
+
+        BLAS gives a product the same bits in a matrix-vector product of any
+        two or more rows, but takes another path (a dot product) for a single
+        row. ``single`` = (rows, cols) marks the entries ``_surrogate`` gets as
+        a single row; they are recomputed that way.
+        """
+        dot = (data[nb] @ Q[:, :, None])[:, :, 0]
+        if single is not None and single[0].size:
+            r, c = single
+            dot[r, c] = (data[nb[r, c]][:, None, :] @ Q[r][:, :, None])[:, 0, 0]
+        if self.metric == "cosine":
+            return -dot
+        return sq_norms[nb] - 2.0 * dot
+
+    def _greedy_batch(
+        self,
+        data: np.ndarray,
+        sq_norms: np.ndarray,
+        Q: np.ndarray,
+        ep: np.ndarray,
+        links: np.ndarray,
+    ) -> np.ndarray:
+        """``_greedy_descend`` for every row of ``Q`` from node ``ep[b]``:
+        moves ``ep`` in place and returns the surrogate distances to it."""
+        # Like _greedy_descend, start from a one-node product: its bits may
+        # differ from those the node got among its neighbors one layer up.
+        ep_d = self._batch_surrogate(data, sq_norms, Q, ep[:, None])[:, 0]
+        act = np.arange(Q.shape[0])  # rows still improving
+        while act.size:
+            nb = links[ep[act]]
+            real = nb != self.n_items
+            one = (real.sum(axis=1) == 1).nonzero()[0]  # its neighbor is in column 0
+            d = self._batch_surrogate(data, sq_norms, Q[act], nb, (one, np.zeros_like(one)))
+            d[~real] = np.inf
+            j = d.argmin(axis=1)
+            dj = d[np.arange(act.size), j]
+            better = (dj < ep_d[act]).nonzero()[0]
+            act = act[better]
+            ep[act] = nb[better, j[better]]
+            ep_d[act] = dj[better]
+        return ep_d
+
+    def _layer0_batch(
+        self,
+        data: np.ndarray,
+        sq_norms: np.ndarray,
+        Q: np.ndarray,
+        ep: np.ndarray,
+        ep_d: np.ndarray,
+        links: np.ndarray,
+        ef: int,
+    ) -> np.ndarray:
+        """``_search_layer`` at layer 0 for every row of ``Q``, in lockstep.
+
+        Each step expands, in every row still searching, its closest result
+        not yet expanded. Returns the (rows, ef) result keys, sorted per row,
+        with ``_EMPTY`` in unused slots.
+        """
+        n = self.n_items
+        keys = np.full((Q.shape[0], ef), _EMPTY)
+        keys[:, 0] = _make_keys(ep_d, ep)
+        visited = np.zeros((Q.shape[0], n + 1), dtype=bool)
+        visited[:, n] = True  # the sentinel is never fresh
+        visited[np.arange(Q.shape[0]), ep] = True
+        out = np.empty_like(keys)
+        rid = np.arange(Q.shape[0])  # rows still searching
+        while True:
+            unexpanded = (keys & _ONE) == 0  # _EMPTY has the bit set
+            j = unexpanded.argmax(axis=1)  # the closest unexpanded result
+            live = unexpanded[np.arange(rid.size), j]
+            if not live.all():
+                out[rid[~live]] = keys[~live]
+                rid, keys, j, Q = rid[live], keys[live], j[live], Q[live]
+                if not rid.size:
+                    return out
+            r = np.arange(rid.size)
+            expanded = keys[r, j] | _ONE
+            keys[r, j] = expanded
+            nb = links[_key_node(expanded)]
+            fresh = ~visited[rid[:, None], nb]
+            visited[rid[:, None], nb] = True
+            n_fresh = fresh.sum(axis=1)
+            g = n_fresh.nonzero()[0]  # rows with fresh neighbors
+            nb, fresh = nb[g], fresh[g]
+            one = (n_fresh[g] == 1).nonzero()[0]
+            d = self._batch_surrogate(data, sq_norms, Q[g], nb, (one, fresh[one].argmax(axis=1)))
+            new = np.where(fresh, _make_keys(d, nb), _EMPTY)
+            e = (new.min(axis=1) < keys[g, -1]).nonzero()[0]  # rows whose results change
+            g = g[e]
+            merged = np.concatenate([keys[g], new[e]], axis=1)
+            keys[g] = np.sort(merged, axis=1, kind="stable")[:, :ef]
 
     # --------------------------------------------------------- serialization
     def to_bytes(self) -> bytes:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.index_store import IndexStore
-from repro.core.search import merge_candidates
+from repro.core.search import check_queries, merge_candidates
 from repro.core.topk import per_shard_topk
 from repro.serving.searcher import Searcher
 
@@ -42,7 +42,14 @@ class Broker:
         ]
 
     def search(self, query: np.ndarray, topk: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k over all shards; returns (ids, dists) ascending."""
+        """Top-k over all shards; returns (ids, dists) ascending.
+
+        Raises ``ValueError`` unless ``query`` is one finite vector of the
+        store's dimension and ``topk >= 1``.
+        """
+        if np.ndim(query) != 1:
+            raise ValueError(f"expected one query vector, got shape {np.shape(query)}")
+        query = check_queries(np.reshape(query, (1, -1)), self.meta.dim, topk)[0]
         pstk = (
             per_shard_topk(topk, self.meta.n_shards, self.confidence)
             if self.use_per_shard_topk

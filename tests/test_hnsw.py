@@ -1,9 +1,12 @@
 """Unit tests for the HNSW index (repro.hnsw.graph)."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bruteforce.local import exact_topk
+from repro.hnsw import graph
 from repro.hnsw.graph import HNSWIndex
 from repro.synth_data import gaussian_mixture
 
@@ -13,6 +16,19 @@ def _recall(res_ids: np.ndarray, gt_ids: np.ndarray) -> float:
     return np.mean(
         [len(set(res_ids[i].tolist()) & set(gt_ids[i].tolist())) / k for i in range(len(gt_ids))]
     )
+
+
+def _both_paths(idx: HNSWIndex, queries, k: int, **kw):
+    """``idx.search`` on the serial and on the lockstep path; asserts that
+    both return bitwise the same (ids, dists) and returns them."""
+    with mock.patch.object(graph, "_BATCH_MIN", 10**9):
+        serial = idx.search(queries, k, **kw)
+    with mock.patch.object(graph, "_BATCH_MIN", 1):
+        lockstep = idx.search(queries, k, **kw)
+    for a, b in zip(serial, lockstep):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    return serial
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +57,13 @@ class TestConstruction:
     def test_empty_index(self):
         idx = HNSWIndex(4)
         assert idx.n_items == 0 and idx.max_level == -1
-        ids, dists = idx.search(np.zeros((2, 4), np.float32), 3)
+        ids, dists = _both_paths(idx, np.zeros((2, 4), np.float32), 3)
         assert ids.shape == (2, 0) and dists.shape == (2, 0)
 
     def test_single_point(self):
         idx = HNSWIndex(3)
         idx.add_items(np.ones((1, 3), np.float32), np.array([7]))
-        ids, dists = idx.search(np.ones((1, 3), np.float32), 5)
+        ids, dists = _both_paths(idx, np.ones((1, 3), np.float32), 5)
         assert ids.tolist() == [[7]]
         assert dists[0, 0] == pytest.approx(0, abs=1e-4)
 
@@ -57,6 +73,15 @@ class TestConstruction:
             idx.add_items(np.zeros((2, 3), np.float32), np.array([0, 1]))
         with pytest.raises(ValueError):
             idx.add_items(np.zeros((2, 4), np.float32), np.array([0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_refused(self, bad):
+        idx = HNSWIndex(4)
+        base = np.ones((3, 4), np.float32)
+        base[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            idx.add_items(base, np.arange(3))
+        assert idx.n_items == 0 and idx.ids.shape == (0,)
 
     def test_incremental_adds(self):
         g = np.random.default_rng(0)
@@ -88,11 +113,22 @@ class TestSearch:
         with pytest.raises(ValueError):
             small_index.search(np.zeros((1, 4), np.float32), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_queries", [1, 64])
+    def test_non_finite_queries_refused(self, small_index, bad, n_queries):
+        """Refused on both paths: a NaN query used to get NaN distances and
+        arbitrary ids."""
+        assert 1 < graph._BATCH_MIN <= 64  # one call per path
+        q = np.zeros((n_queries, 16), np.float32)
+        q[-1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            small_index.search(q, 5)
+
     def test_k_greater_than_n_returns_all(self):
         g = np.random.default_rng(2)
         idx = HNSWIndex(4, M=8, ef_construction=20, seed=0)
         idx.add_items(g.normal(size=(10, 4)).astype(np.float32), np.arange(10))
-        ids, dists = idx.search(g.normal(size=(3, 4)).astype(np.float32), 25)
+        ids, dists = _both_paths(idx, g.normal(size=(3, 4)).astype(np.float32), 25)
         assert ids.shape == (3, 10)
         for row in ids:
             assert sorted(row.tolist()) == list(range(10))
@@ -133,7 +169,7 @@ class TestSearch:
         def build():
             idx = HNSWIndex(small_ds.dim, M=8, ef_construction=40, seed=9)
             idx.add_items(small_ds.base[:300], small_ds.ids[:300])
-            return idx.search(small_ds.queries[:10], 5, ef=50)
+            return _both_paths(idx, small_ds.queries[:10], 5, ef=50)
 
         a, b = build(), build()
         np.testing.assert_array_equal(a[0], b[0])
@@ -143,7 +179,7 @@ class TestSearch:
         base = np.tile(np.arange(8, dtype=np.float32), (30, 1))
         idx = HNSWIndex(8, M=6, ef_construction=20, seed=0)
         idx.add_items(base, np.arange(30))
-        ids, dists = idx.search(base[:1], 5, ef=40)
+        ids, dists = _both_paths(idx, base[:1], 5, ef=40)
         assert np.all(dists == 0)
         assert len(set(ids[0].tolist())) == 5
 
@@ -155,6 +191,54 @@ class TestSearch:
         idx.add_items(base, ext)
         ids, _ = idx.search(base[:10], 1, ef=60)
         np.testing.assert_array_equal(ids[:, 0], ext[:10])
+
+
+class TestLockstep:
+    """A call with at least ``_BATCH_MIN`` queries searches them in lockstep."""
+
+    def test_visited_budget_splits_batch(self, small_index, small_ds, monkeypatch):
+        """A visited budget of three queries splits 100 queries into 34
+        chunks; the results do not change."""
+        queries = np.random.default_rng(0).normal(small_ds.base[:100], 0.1).astype(np.float32)
+        assert queries.shape[0] >= graph._BATCH_MIN
+        whole = small_index.search(queries, 10, ef=60)
+        calls = []
+        layer0 = HNSWIndex._layer0_batch
+
+        def counted(self, *args):
+            calls.append(args[2].shape[0])  # rows of Q in this chunk
+            return layer0(self, *args)
+
+        monkeypatch.setattr(HNSWIndex, "_layer0_batch", counted)
+        monkeypatch.setattr(graph, "_VISITED_BYTES", 3 * (small_index.n_items + 1))
+        chunked = small_index.search(queries, 10, ef=60)
+        assert calls == [3] * 33 + [1]
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[1], whole[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    dim=st.integers(2, 12),
+    metric=st.sampled_from(["l2", "cosine"]),
+    k=st.integers(1, 320),
+    ef=st.integers(1, 120),
+    seed=st.integers(0, 2**16),
+)
+def test_property_lockstep_equals_one_at_a_time(n, dim, metric, k, ef, seed):
+    """On tie-free data (random float32 vectors) a lockstep call returns
+    bitwise the (ids, dists) of the same rows searched one at a time; k may
+    exceed n and ef may be below k."""
+    g = np.random.default_rng(seed)
+    idx = HNSWIndex(dim, M=6, ef_construction=30, metric=metric, seed=seed)
+    idx.add_items(g.normal(size=(n, dim)).astype(np.float32), g.permutation(10 * n + 1)[:n])
+    queries = g.normal(size=(graph._BATCH_MIN + 4, dim)).astype(np.float32)
+    ids, dists = idx.search(queries, k, ef=ef)
+    for i, q in enumerate(queries):
+        one_ids, one_dists = idx.search(q, k, ef=ef)
+        np.testing.assert_array_equal(ids[i], one_ids[0])
+        np.testing.assert_array_equal(dists[i], one_dists[0])
 
 
 class TestCosine:
@@ -181,7 +265,7 @@ class TestCosine:
         base = np.array([[1, 0], [0, 1], [-1, 0]], dtype=np.float32)
         idx = HNSWIndex(2, metric="cosine")
         idx.add_items(base, np.arange(3))
-        ids, dists = idx.search(np.array([1.0, 0.0], np.float32), 3, ef=10)
+        ids, dists = _both_paths(idx, np.array([1.0, 0.0], np.float32), 3, ef=10)
         assert ids[0].tolist() == [0, 1, 2]
         np.testing.assert_allclose(dists[0], [0.0, 1.0, 2.0], atol=1e-5)
 
@@ -189,8 +273,8 @@ class TestCosine:
 class TestSerialization:
     def test_roundtrip_identical_results(self, small_index, small_ds):
         clone = HNSWIndex.from_bytes(small_index.to_bytes())
-        a = small_index.search(small_ds.queries[:20], 10, ef=80)
-        b = clone.search(small_ds.queries[:20], 10, ef=80)
+        a = _both_paths(small_index, small_ds.queries[:20], 10, ef=80)
+        b = _both_paths(clone, small_ds.queries[:20], 10, ef=80)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_allclose(a[1], b[1], rtol=1e-6)
 

@@ -16,6 +16,7 @@ import pytest
 from repro.bruteforce.local import exact_topk
 from repro.core import IndexStore, build_index, per_shard_topk, query_index
 from repro.eval.recall import recall_at_k
+from repro.hnsw import graph
 from repro.oracle import assert_equivalent
 from repro.segmenters import RandomSegmenter, learn_segmenter
 from repro.serving import Broker
@@ -204,6 +205,24 @@ class TestQuery:
         with _no_spark_jobs(spark), pytest.raises(ValueError, match="n_executors"):
             query_index(spark, apd_store_root, ds.queries, 10, n_executors=n_executors)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "dim", "1-D", "topk0-no-pstk"])
+    def test_invalid_queries_raise(self, spark, ds, apd_store_root, bad):
+        """Checked on the driver before any job: a NaN query used to be routed
+        to no segment and silently get no rows."""
+        queries, topk, pstk = ds.queries.copy(), 10, True
+        if bad == "nan":
+            queries[3, 0] = np.nan
+        elif bad == "inf":
+            queries[3, 0] = np.inf
+        elif bad == "dim":
+            queries = queries[:, :-1]
+        elif bad == "1-D":
+            queries = queries[0]
+        else:
+            topk, pstk = 0, False
+        with _no_spark_jobs(spark), pytest.raises(ValueError):
+            query_index(spark, apd_store_root, queries, topk, use_per_shard_topk=pstk)
+
     def test_checkpoint_stages_written(self, spark, ds, apd_store_root, tmp_path):
         ck = str(tmp_path / "stages")
         query_index(spark, apd_store_root, ds.queries[:10], 5, ef=50,
@@ -235,11 +254,21 @@ class TestQuery:
         assert recall_at_k(a, gt, 20) >= recall_at_k(b, gt, 20) - 0.02
 
     def test_matches_serving_broker(self, spark, ds, apd_store_root):
-        """Offline Spark pipeline ≡ online broker path on the same store."""
-        res = query_index(spark, apd_store_root, ds.queries, 10, ef=100).toPandas()
-        broker = Broker(IndexStore(apd_store_root), ef=100)
-        for q in range(len(ds.queries)):
-            ids, dists = broker.search(ds.queries[q], 10)
+        """Offline Spark pipeline ≡ online broker path on the same store. The
+        broker searches one query per segment (the serial kernel); offline,
+        every partition gets enough probes for the lockstep kernel."""
+        more = gaussian_mixture(n=2000, dim=12, n_clusters=16, n_queries=200, seed=51)
+        np.testing.assert_array_equal(more.base, ds.base)  # the store's data
+        queries = more.queries
+        store = IndexStore(apd_store_root)
+        meta = store.load_metadata()
+        routes = store.load_segmenter().route(queries, spill=meta.spill)
+        probes = np.bincount(np.concatenate(routes), minlength=meta.n_segments)
+        assert probes.min() >= graph._BATCH_MIN, probes  # per partition, in every shard
+        res = query_index(spark, apd_store_root, queries, 10, ef=100).toPandas()
+        broker = Broker(store, ef=100)
+        for q in range(len(queries)):
+            ids, dists = broker.search(queries[q], 10)
             offline = res[res.query_id == q].sort_values("rank")
             np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
             np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)

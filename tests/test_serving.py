@@ -86,6 +86,14 @@ class TestBroker:
         assert np.all(np.diff(dists) >= -1e-6)
         assert len(set(ids.tolist())) == 12
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_query_raises(self, rs_store, ds, bad):
+        """A NaN query used to be routed to no segment and get an empty answer."""
+        query = ds.queries[0].copy()
+        query[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Broker(rs_store, ef=100).search(query, 10)
+
     def test_per_shard_topk_reduces_fetch(self, rs_store, ds):
         """With perShardTopK on, each searcher is asked for fewer than
         topK candidates, yet final recall stays high (Sec 5.3.2)."""
