@@ -4,9 +4,13 @@ substitution #3: local filesystem standing in for HDFS).
 ```
 <root>/
   metadata.json            # written from the driver (Fig 6)
-  segmenter.bin            # the shared learnt segmenter (Fig 5): an npz, no pickle
-  shard=<s>/segment=<m>.hnsw   # serialized HNSW (still a pickle), written from executors
+  segmenter.bin            # the shared learnt segmenter (Fig 5)
+  shard=<s>/segment=<m>.hnsw   # serialized HNSW, written from executors
 ```
+
+``segmenter.bin`` and the ``*.hnsw`` files share one format, an npz of
+plain arrays (``repro.npz``): loading a store runs no code, and a
+corrupt or foreign file raises ``ValueError``.
 
 The metadata bundles everything the online searcher needs to deserialize
 consistently (paper Sec 7: distance function, segmenter, build params

@@ -43,16 +43,14 @@ queries with NaN or inf are refused.
 from __future__ import annotations
 
 import math
-import pickle
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
+from repro import npz
 from repro.hnsw.distance import normalize_rows, validate_metric
-
-_PICKLE_PROTO = 4  # stable across workers/driver
 
 # A search() call with at least this many queries searches them in lockstep;
 # fewer go one at a time, the path insertion uses. Lockstep speed relative
@@ -98,6 +96,16 @@ def _key_dist(keys: np.ndarray) -> np.ndarray:
 def _check_finite(x: np.ndarray, what: str) -> None:
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite; found NaN or inf")
+
+
+# The members of a stored index and the dtype kinds each may have; scalars
+# holds dim, M, ef_construction, seed and entry.
+_MEMBERS = dict(scalars="i", metric="U", data="f", ids="i", levels="u", degree="u", neighbors="u")
+
+
+def _smallest(a: np.ndarray) -> np.ndarray:
+    """Non-negative integers ``a`` in the smallest dtype that holds them."""
+    return a.astype(np.min_scalar_type(int(a.max(initial=0))))
 
 
 class HNSWIndex:
@@ -539,37 +547,59 @@ class HNSWIndex:
 
     # --------------------------------------------------------- serialization
     def to_bytes(self) -> bytes:
-        """Serialize graph + vectors + metadata (paper Sec 7: the shipped
-        index bundles embeddings, graph, and build configuration)."""
-        payload = {
-            "dim": self.dim,
-            "M": self.M,
-            "ef_construction": self.ef_construction,
+        """Serialize vectors, graph and build configuration (paper Sec 7: the
+        shipped index bundles all three) as the store's npz (``repro.npz``).
+        The graph is CSR: layer by layer, the nodes with level >= l in node
+        order give their ``degree`` and their ``neighbors``, concatenated."""
+        rows = [nbrs for layer in self._links for _, nbrs in sorted(layer.items())]
+        degree = np.fromiter(map(len, rows), np.int64, len(rows))
+        neighbors = np.fromiter(chain.from_iterable(rows), np.int64, int(degree.sum()))
+        scalars = [self.dim, self.M, self.ef_construction, self.seed, self._entry]
+        return npz.pack({
+            "scalars": np.asarray(scalars, dtype=np.int64),
             "metric": self.metric,
-            "seed": self.seed,
             "data": self._data,
             "ids": self._ids,
-            "levels": self._levels,
-            "links": self._links,
-            "entry": self._entry,
-        }
-        return pickle.dumps(payload, protocol=_PICKLE_PROTO)
+            "levels": _smallest(np.asarray(self._levels, dtype=np.int64)),
+            "degree": _smallest(degree),
+            "neighbors": _smallest(neighbors),
+        })
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "HNSWIndex":
-        """Inverse of :meth:`to_bytes`."""
-        p = pickle.loads(blob)
-        idx = cls(
-            p["dim"],
-            M=p["M"],
-            ef_construction=p["ef_construction"],
-            metric=p["metric"],
-            seed=p["seed"],
-        )
-        idx._data = p["data"]
-        idx._sq_norms = np.einsum("ij,ij->i", p["data"], p["data"]).astype(np.float32)
-        idx._ids = p["ids"]
-        idx._levels = p["levels"]
-        idx._links = p["links"]
-        idx._entry = p["entry"]
+        """Inverse of :meth:`to_bytes`. Reads plain arrays only, so loading
+        runs no code; a blob that is not a well-formed index raises
+        ``ValueError``."""
+        f = npz.unpack(blob)
+        for name, kind in _MEMBERS.items():
+            if name not in f or f[name].dtype.kind != kind:
+                raise ValueError(f"index member {name!r} is missing or not of kind {kind!r}")
+        if f["scalars"].shape != (5,) or f["metric"].shape != ():
+            raise ValueError("index scalars or metric have the wrong shape")
+        dim, M, ef_construction, seed, entry = f["scalars"].tolist()
+        idx = cls(dim, M=M, ef_construction=ef_construction, metric=str(f["metric"]), seed=seed)
+        data, ids, levels = f["data"], f["ids"], f["levels"].astype(np.int64)
+        degree, neighbors = f["degree"].astype(np.int64), f["neighbors"]
+        n = levels.size
+        if levels.ndim != 1 or ids.shape != levels.shape or data.shape != (n, dim):
+            raise ValueError(f"index data {data.shape}, ids {ids.shape}, levels {levels.shape}")
+        _check_finite(data, "index vectors")
+        if degree.shape != (int((levels + 1).sum()),):
+            raise ValueError(f"index degree has {degree.size} rows, not one per node and layer")
+        if neighbors.shape != (int(degree.sum()),) or (neighbors >= n).any():
+            raise ValueError("index neighbors disagree with degree or leave 0..n-1")
+        if degree[:n].max(initial=0) > idx.M0 or degree[n:].max(initial=0) > idx.M:
+            raise ValueError(f"index degree over its cap ({idx.M0} at layer 0, {idx.M} above)")
+        top = int(levels.max(initial=-1))
+        if not (entry == -1 if n == 0 else 0 <= entry < n and levels[entry] == top):
+            raise ValueError(f"index entry {entry} is not a top-level node")
+        nbrs, ends = neighbors.tolist(), np.cumsum(degree).tolist()
+        rows = (nbrs[a:b] for a, b in zip([0, *ends], ends))
+        for lc in range(top + 1):  # zip takes one row per node of the layer
+            idx._links.append(dict(zip(np.flatnonzero(levels >= lc).tolist(), rows)))
+        idx._data = data.astype(np.float32, copy=False)
+        idx._sq_norms = np.einsum("ij,ij->i", idx._data, idx._data).astype(np.float32)
+        idx._ids = ids.astype(np.int64, copy=False)
+        idx._levels = levels.tolist()
+        idx._entry = entry
         return idx

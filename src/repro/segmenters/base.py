@@ -3,11 +3,11 @@ is stored once and shared by every shard's ingestion and querying). The
 stored form is an ``.npz`` of plain arrays: reading it runs no code."""
 from __future__ import annotations
 
-import io
-import zipfile
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+from repro import npz
 
 SPILL_MODES = ("virtual", "physical")
 
@@ -39,16 +39,10 @@ class Segmenter(ABC):
         """Segment id(s) each query fans out to."""
 
     def to_bytes(self) -> bytes:
-        """Serialize for the index store / Spark broadcast: an ``.npz`` that
-        ``np.load`` reads with ``allow_pickle=False``. Every member gets the
-        zip format's default timestamp, so equal segmenters give equal bytes."""
-        buf = io.BytesIO()
-        with zipfile.ZipFile(buf, "w") as zf:
-            for name in ("kind", *self._fields):
-                with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as f:
-                    value = np.asarray(getattr(self, name))
-                    np.lib.format.write_array(f, value, allow_pickle=False)
-        return buf.getvalue()
+        """Serialize for the index store / Spark broadcast: the store's
+        ``.npz`` of plain arrays (``repro.npz``), so equal segmenters give
+        equal bytes."""
+        return npz.pack({name: getattr(self, name) for name in ("kind", *self._fields)})
 
 
 def mix64(x: np.ndarray, salt: int = 0) -> np.ndarray:

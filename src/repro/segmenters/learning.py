@@ -6,12 +6,10 @@ across all shards (the paper notes shard data distributions are uniform
 because sharding is hash-based, so one segmenter fits every shard)."""
 from __future__ import annotations
 
-import io
-import zipfile
-
 import numpy as np
 from pyspark.sql import DataFrame
 
+from repro import npz
 from repro.segmenters.apd import learn_apd_segmenter
 from repro.segmenters.base import Segmenter
 from repro.segmenters.hyperplane import HyperplaneTreeSegmenter
@@ -72,15 +70,14 @@ def learn_segmenter(
 def segmenter_from_bytes(blob: bytes) -> Segmenter:
     """Inverse of :meth:`Segmenter.to_bytes`. Reads plain arrays only, so
     loading ``segmenter.bin`` runs no code; a bad archive raises ``ValueError``."""
+    f = npz.unpack(blob)
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
-            f = {name: npz[name] for name in npz.files}
         kind = str(f["kind"])
         if kind == "RS":
             return RandomSegmenter(int(f["n_segments"]))
         if kind in ("RH", "APD"):
             alpha = float(f["alpha"])
             return HyperplaneTreeSegmenter(f["h"], f["s"], f["l"], f["r"], kind=kind, alpha=alpha)
-    except (KeyError, TypeError, EOFError, zipfile.BadZipFile) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"not a segmenter archive: {e!r}") from e
     raise ValueError(f"unknown segmenter kind {kind!r}; expected {SEGMENTER_KINDS}")

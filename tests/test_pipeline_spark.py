@@ -4,6 +4,7 @@ partials and the index contents cross-checked against an independent
 driver-side reference build."""
 import glob
 import os
+import pickle
 import re
 import shutil
 from contextlib import contextmanager
@@ -305,15 +306,24 @@ class TestEmptyPartitions:
             ids, _ = broker.search(ds.queries[q], k)
             np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
 
-    @pytest.mark.parametrize("empty", [True, False])
-    def test_missing_partition_raises(self, spark, tiny, tmp_path, empty):
-        """A lost file, empty partition or not, fails both paths loudly."""
+    @pytest.mark.parametrize("fault", ["lost-empty", "lost", "truncated", "pickled-empty"])
+    def test_missing_partition_raises(self, spark, tiny, tmp_path, fault):
+        """A lost, truncated or pickled file, empty partition or not, fails
+        both paths loudly."""
         ds, root, summary = tiny
-        lost = summary[(summary["n_items"] == 0) == empty].iloc[0]
+        lost = summary[(summary["n_items"] == 0) == fault.endswith("-empty")].iloc[0]
         broken = str(tmp_path / "broken")
         shutil.copytree(root, broken)
-        os.remove(IndexStore(broken).index_path(lost["shard_id"], lost["segment_id"]))
-        with pytest.raises(Exception, match="FileNotFoundError"):
+        path = Path(IndexStore(broken).index_path(lost["shard_id"], lost["segment_id"]))
+        if fault.startswith("lost"):
+            path.unlink()
+            error = FileNotFoundError
+        else:
+            blob = path.read_bytes()
+            path.write_bytes(blob[: len(blob) // 2] if fault == "truncated"
+                             else pickle.dumps({"dim": ds.dim, "levels": []}))
+            error = ValueError
+        with pytest.raises(Exception, match=error.__name__):
             query_index(spark, broken, ds.queries, 5, ef=50).toPandas()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(error):
             Broker(IndexStore(broken), ef=50)
