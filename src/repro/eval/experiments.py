@@ -1,19 +1,23 @@
-"""Concrete experiment definitions for the paper's Tables 1-9.
+"""The paper's evaluation (Sec 6, Tables 1-9): sweeps, paper numbers and
+table renderers, in one module.
 
-Shared by ``benchmarks/`` (pytest-benchmark) and ``jobs/`` (spark-submit)
-so the reproduced tables come from one code path. Paper numbers are
-embedded next to each runner so every harness prints paper-vs-measured
-rows directly (also recorded in EXPERIMENTS.md).
+``jobs/tables.py --group <g>`` runs one entry of ``TABLE_GROUPS`` and
+writes each of its tables to ``RESULTS_DIR``/<name>.txt through
+``emit_table``. Paper numbers sit next to each runner so every table
+prints paper-vs-measured rows (also recorded in EXPERIMENTS.md).
 
 Scale substitutions (DESIGN.md): SIFT1M → sift_like 20k×32; GIST1M →
 gist_like 10k×128; Groups/People/PYMK/NearDupe → clustered proxies.
+Absolute times are Python on one node, not the paper's JVM on YARN;
+EXPERIMENTS.md compares *shapes* (which method wins, how times scale
+with executors).
 """
 from __future__ import annotations
 
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -23,11 +27,11 @@ from repro.bruteforce.local import exact_topk
 from repro.core.index_store import IndexStore
 from repro.core.indexing import build_index
 from repro.core.querying import query_index
-from repro.eval.harness import ExperimentResult, run_lanns_experiment
-from repro.eval.recall import recall_at_k
+from repro.eval.recall import recall_at_k, recall_table
 from repro.segmenters.learning import learn_segmenter
 from repro.serving.broker import Broker
 from repro.synth_data import (
+    AnnDataset,
     gist_like,
     groups_like,
     neardupe_like,
@@ -39,23 +43,32 @@ from repro.synth_data import (
 
 EXECUTORS = (2, 4, 8)
 RECALL_KS = (1, 5, 10, 15, 50, 100)
+# Fixed settings of the SIFT/GIST sweep (paper Sec 6.1): segmenter kinds,
+# top-K, spill band alpha, perShardTopK confidence and search ef. Every
+# runner builds its HNSW partitions with HNSW_M and EF_CONSTRUCTION.
+KINDS = ("RS", "RH", "APD")
+TOPK = 100
+ALPHA = 0.15
+CONFIDENCE = 0.95
+HNSW_M = 12
+EF_CONSTRUCTION = 100
+EF_SEARCH = 160
+SPILL = "virtual"
+SEED = 0
 
-# Rendered tables are also written here (pytest captures stdout, so the
-# bench run's tables would otherwise be invisible in bench_output.txt).
 RESULTS_DIR = os.environ.get(
     "REPRO_RESULTS_DIR",
     os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))), "results"),
 )
 
 
-def emit_table(name: str, title: str, text: str) -> str:
+def emit_table(name: str, title: str, text: str) -> None:
     """Print a rendered table and persist it to ``RESULTS_DIR``/<name>.txt."""
-    block = f"\n=== {title} ===\n{text}"
-    print(block)
+    block = f"=== {title} ===\n{text}"
+    print("\n" + block)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as f:
-        f.write(block.lstrip("\n") + "\n")
-    return block
+        f.write(block + "\n")
 
 # ----------------------------------------------------------- paper numbers
 # Table 1 (SIFT1M recall) / Table 4 (GIST1M recall)
@@ -92,10 +105,10 @@ PAPER_T5 = {
     4: {"RS": 96, "RH": 108, "APD": 106},
     8: {"RS": 48, "RH": 54, "APD": 52},
 }
-PAPER_T6 = {
-    2: {"HNSW": 336, "RS": 330, "RH": 156, "APD": 144},
-    4: {"RS": 222, "RH": 132, "APD": 108},
-    8: {"RS": 132, "RH": 96, "APD": 66},
+PAPER_T6 = {  # query ms, GIST1M: (partitioning, executors) -> {method: ms}
+    ("(1,8)", 2): {"HNSW": 336, "RS": 330, "RH": 156, "APD": 144},
+    ("(1,8)", 4): {"RS": 222, "RH": 132, "APD": 108},
+    ("(1,8)", 8): {"RS": 132, "RH": 96, "APD": 66},
 }
 # Table 7: (segments, spill%) -> (physical R@15, physical QPS, virtual R@15, virtual QPS)
 PAPER_T7 = {
@@ -127,24 +140,94 @@ PAPER_T9 = {
 
 
 # ------------------------------------------------------------ SIFT / GIST
-def run_sift(spark: SparkSession, work_dir: str, *, scale: float = 1.0) -> ExperimentResult:
-    """Tables 1-3 sweep on the SIFT1M stand-in (scale<1 shrinks for tests)."""
-    ds = sift_like(n=max(2000, int(20_000 * scale)), n_queries=max(50, int(400 * scale)))
-    return run_lanns_experiment(
-        spark, ds, topk=100, partitionings=((1, 8), (2, 4)), executors=EXECUTORS,
-        ks=RECALL_KS, alpha=0.15, confidence=0.95, hnsw_m=12, ef_construction=100,
-        ef_search=160, work_dir=work_dir,
+@dataclass
+class ExperimentResult:
+    """All measurements from one dataset sweep."""
+
+    dataset: str
+    topk: int
+    # method key: "HNSW" or f"{kind}({S},{m})"
+    recall: dict[str, dict[int, float]] = field(default_factory=dict)
+    build_seconds: dict[tuple[str, int], float] = field(default_factory=dict)  # (method, E)
+    query_ms: dict[tuple[str, int], float] = field(default_factory=dict)  # (method, E)
+    segmenter_learn_seconds: dict[str, float] = field(default_factory=dict)
+
+
+def run_lanns_experiment(
+    spark: SparkSession,
+    dataset: AnnDataset,
+    work_dir: str,
+    partitionings: tuple[tuple[int, int], ...],
+    executors: tuple[int, ...] = EXECUTORS,
+) -> ExperimentResult:
+    """One dataset's full sweep (Tables 1-6): the single-machine HNSW
+    baseline at the smallest executor count, then every ``KINDS``
+    segmenter at each (n_shards, n_segments) partitioning and executor
+    count. Records R@k, build seconds and query ms/query."""
+    os.makedirs(work_dir, exist_ok=True)
+    res = ExperimentResult(dataset=dataset.name, topk=TOPK)
+    gt_ids, _ = exact_topk(
+        dataset.queries, dataset.base, TOPK, ids=dataset.ids, metric=dataset.metric
     )
+    df = vectors_to_df(spark, dataset.base, dataset.ids).cache()
+    df.count()  # materialize so build timing excludes generation
+
+    def one_config(method: str, segmenter, n_shards: int, e: int) -> pd.DataFrame:
+        """Build + query at executor count ``e``; returns final results."""
+        root = os.path.join(work_dir, f"{method}-E{e}".replace("(", "_").replace(")", "").replace(",", "_"))
+        shutil.rmtree(root, ignore_errors=True)
+        t0 = time.perf_counter()
+        build_index(
+            spark, df, root, segmenter, n_shards,
+            spill=SPILL, metric=dataset.metric, hnsw_m=HNSW_M,
+            ef_construction=EF_CONSTRUCTION, n_executors=e, seed=SEED,
+        )
+        res.build_seconds[(method, e)] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        out = query_index(
+            spark, root, dataset.queries, TOPK,
+            ef=EF_SEARCH, confidence=CONFIDENCE, n_executors=e,
+        ).toPandas()
+        res.query_ms[(method, e)] = (
+            (time.perf_counter() - t0) * 1000.0 / dataset.queries.shape[0]
+        )
+        return out
+
+    out = one_config("HNSW", learn_segmenter("RS", 1), 1, min(executors))
+    res.recall["HNSW"] = recall_table(out, gt_ids, RECALL_KS)
+
+    n_learn_sample = min(dataset.n, max(2000, dataset.n // 4))
+    for n_shards, n_segments in partitionings:
+        for kind in KINDS:
+            method = f"{kind}({n_shards},{n_segments})"
+            t0 = time.perf_counter()
+            segmenter = learn_segmenter(
+                kind, n_segments,
+                sample=dataset.base[
+                    np.random.default_rng(SEED).choice(
+                        dataset.n, n_learn_sample, replace=False
+                    )
+                ],
+                alpha=ALPHA, seed=SEED,
+            )
+            res.segmenter_learn_seconds[method] = time.perf_counter() - t0
+            for e in executors:
+                out = one_config(method, segmenter, n_shards, e)
+            res.recall[method] = recall_table(out, gt_ids, RECALL_KS)  # last E's result
+    df.unpersist()
+    return res
+
+
+def run_sift(spark: SparkSession, work_dir: str, *, scale: float = 1.0) -> ExperimentResult:
+    """Tables 1-3 sweep on the SIFT1M stand-in (scale<1 shrinks it)."""
+    ds = sift_like(n=max(2000, int(20_000 * scale)), n_queries=max(50, int(400 * scale)))
+    return run_lanns_experiment(spark, ds, work_dir, ((1, 8), (2, 4)))
 
 
 def run_gist(spark: SparkSession, work_dir: str, *, scale: float = 1.0) -> ExperimentResult:
     """Tables 4-6 sweep on the GIST1M stand-in."""
     ds = gist_like(n=max(1500, int(10_000 * scale)), n_queries=max(40, int(200 * scale)))
-    return run_lanns_experiment(
-        spark, ds, topk=100, partitionings=((1, 8),), executors=EXECUTORS,
-        ks=RECALL_KS, alpha=0.15, confidence=0.95, hnsw_m=12, ef_construction=100,
-        ef_search=160, work_dir=work_dir,
-    )
+    return run_lanns_experiment(spark, ds, work_dir, ((1, 8),))
 
 
 # ----------------------------------------------------------------- Table 7
@@ -199,7 +282,7 @@ def run_groups_spill(
     root = os.path.join(work_dir, "g-seg1")
     shutil.rmtree(root, ignore_errors=True)
     build_index(spark, df, root, learn_segmenter("RS", 1), 1,
-                metric=ds.metric, hnsw_m=12, ef_construction=100)
+                metric=ds.metric, hnsw_m=HNSW_M, ef_construction=EF_CONSTRUCTION)
     rec, qps = measure(root)
     rows.append(SpillRow(1, 0, rec, qps, rec, qps))
 
@@ -212,7 +295,7 @@ def run_groups_spill(
                 root = os.path.join(work_dir, f"g-{n_seg}-{spill_pct}-{mode}")
                 shutil.rmtree(root, ignore_errors=True)
                 build_index(spark, df, root, seg, 1, spill=mode,
-                            metric=ds.metric, hnsw_m=12, ef_construction=100)
+                            metric=ds.metric, hnsw_m=HNSW_M, ef_construction=EF_CONSTRUCTION)
                 res[mode] = measure(root)
             rows.append(
                 SpillRow(n_seg, spill_pct, res["physical"][0], res["physical"][1],
@@ -278,7 +361,8 @@ def run_realworld(
     rows = []
     for name, (gen, n_shards, n_segments, kind, k, alpha) in REALWORLD_SPECS.items():
         ds = gen() if scale >= 1.0 else gen(
-            n=max(1200, int(gen().n * scale)), n_queries=max(50, int(200 * scale))
+            n=max(1200, int(gen.__kwdefaults__["n"] * scale)),
+            n_queries=max(50, int(200 * scale)),
         )
         df = vectors_to_df(spark, ds.base, ds.ids).cache()
         df.count()
@@ -290,7 +374,7 @@ def run_realworld(
         shutil.rmtree(root, ignore_errors=True)
         t0 = time.perf_counter()
         build_index(spark, df, root, seg, n_shards, metric=ds.metric,
-                    hnsw_m=12, ef_construction=100)
+                    hnsw_m=HNSW_M, ef_construction=EF_CONSTRUCTION)
         build_s = time.perf_counter() - t0
         gt, _ = exact_topk(ds.queries, ds.base, k, ids=ds.ids, metric=ds.metric)
         t0 = time.perf_counter()
@@ -368,7 +452,9 @@ def format_build_table(
 
 
 def format_query_table(
-    res: ExperimentResult, paper_by_part: dict, partitionings: tuple[str, ...]
+    res: ExperimentResult,
+    paper_by_part: dict[tuple[str, int], dict[str, float]],
+    partitionings: tuple[str, ...],
 ) -> str:
     """Query-time table (Tables 3 and 6): ms/query, ours vs paper."""
     methods = ["HNSW", "RS", "RH", "APD"]
@@ -381,12 +467,38 @@ def format_query_table(
             for m in methods:
                 key = "HNSW" if m == "HNSW" else f"{m}{part}"
                 v = res.query_ms.get((key, e))
-                if isinstance(paper_by_part, dict) and (part, e) in paper_by_part:
-                    p = paper_by_part[(part, e)].get(m)
-                else:  # GIST tables are keyed by executor only
-                    p = paper_by_part.get(e, {}).get(m) if isinstance(paper_by_part, dict) else None
+                p = paper_by_part.get((part, e), {}).get(m)
                 cells.append(
                     f"{'-' if v is None else format(v, '.1f')} / {'-' if p is None else p}".rjust(20)
                 )
             out.append(f"{e:<11}" + "".join(cells))
     return "\n".join(out)
+
+
+# ---------------------------------------------------------------- registry
+# group -> (runner, [(results file name, title, formatter of the runner's result)])
+TABLE_GROUPS = {
+    "sift": (run_sift, [
+        ("table1", "Table 1: SIFT recall (ours vs paper)",
+         lambda r: format_table_1_or_4(r, PAPER_T1)),
+        ("table2", "Table 2: SIFT build times, (1,8)-partitioning (ours s vs paper min)",
+         lambda r: format_build_table(r, PAPER_T2, "(1,8)")),
+        ("table3", "Table 3: SIFT query times (ms/query, ours vs paper)",
+         lambda r: format_query_table(r, PAPER_T3, ("(1,8)", "(2,4)"))),
+    ]),
+    "gist": (run_gist, [
+        ("table4", "Table 4: GIST recall (ours vs paper)",
+         lambda r: format_table_1_or_4(r, PAPER_T4)),
+        ("table5", "Table 5: GIST build times, (1,8)-partitioning (ours s vs paper min)",
+         lambda r: format_build_table(r, PAPER_T5, "(1,8)")),
+        ("table6", "Table 6: GIST query times (ms/query, ours vs paper)",
+         lambda r: format_query_table(r, PAPER_T6, ("(1,8)",))),
+    ]),
+    "groups": (run_groups_spill, [
+        ("table7", "Table 7: Groups spill study (ours vs paper)", format_table7),
+    ]),
+    "realworld": (run_realworld, [
+        ("table8", "Table 8: real-world build/query times (proxies; ours vs paper)", format_table8),
+        ("table9", "Table 9: real-world recall (proxies; ours vs paper)", format_table9),
+    ]),
+}

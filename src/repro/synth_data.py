@@ -1,109 +1,17 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Synthetic ANN datasets for the LANNS reproduction (paper Sec 6).
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+The container has no network, so SIFT1M/GIST1M and the LinkedIn
+production datasets are replaced by deterministic Gaussian-mixture
+clouds with the same *shape* knobs (dimensionality ratios, clustered
+structure that hyperplane segmenters exploit) at container-feasible
+scale. See DESIGN.md "Substitutions". Generators are deterministic in
+``seed``, so exact ground truth and the DuckDB oracle see identical input.
 """
+from dataclasses import dataclass, field
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
-_N_PART_PER_SF = 200_000
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-# --------------------------------------------------------------------------
-# ANN datasets for the LANNS reproduction (paper Sec 6).
-#
-# The container has no network, so SIFT1M/GIST1M and the LinkedIn
-# production datasets are replaced by deterministic Gaussian-mixture
-# clouds with the same *shape* knobs (dimensionality ratios, clustered
-# structure that hyperplane segmenters exploit) at container-feasible
-# scale. See DESIGN.md "Substitutions".
-# --------------------------------------------------------------------------
-from dataclasses import dataclass, field  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -147,7 +55,7 @@ def gaussian_mixture(
     N(center, cluster_std^2 I). Queries are perturbed base points (the
     realistic regime: queries land near data, so true neighbors are
     cluster-local — the property LANNS segmenters rely on)."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     centers = g.uniform(0.0, box, size=(n_clusters, dim)).astype(np.float32)
     assign = g.integers(0, n_clusters, size=n)
     base = (centers[assign] + g.normal(0.0, cluster_std, size=(n, dim))).astype(
@@ -213,7 +121,7 @@ def neardupe_like(*, n: int = 8_000, n_queries: int = 400, seed: int = 23) -> An
         n=n, dim=256, n_clusters=40, n_queries=n_queries,
         cluster_std=0.4, seed=seed, name="neardupe_like",
     )
-    g = _rng(seed + 1)
+    g = np.random.default_rng(seed + 1)
     qsrc = g.integers(0, n, size=n_queries)
     queries = (ds.base[qsrc] + g.normal(0, 0.05, size=(n_queries, 256))).astype(
         np.float32
