@@ -40,11 +40,19 @@ def merge_topk(
     partitions when spill routing duplicates work).
     """
     dedup = partials.groupBy(*by, "neighbor_id").agg(F.min("dist").alias("dist"))
+    return rank_topk(dedup, k, by=by)
+
+
+def rank_topk(
+    candidates: DataFrame, k: int, *, by: tuple[str, ...] = ("query_id",)
+) -> DataFrame:
+    """``merge_topk`` without the dedup, for candidates that hold each
+    neighbor at most once per group: the window alone ranks them."""
     w = Window.partitionBy(*[F.col(c) for c in by]).orderBy(
         F.col("dist").asc(), F.col("neighbor_id").asc()
     )
     return (
-        dedup.withColumn("rank", F.row_number().over(w))
+        candidates.withColumn("rank", F.row_number().over(w))
         .filter(F.col("rank") <= k)
     )
 

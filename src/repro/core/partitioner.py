@@ -7,14 +7,16 @@ or more segments within its shard (and each query to the segment(s) it
 must probe). Both taggers are DataFrame → DataFrame transformations with
 the numpy work inside Arrow-backed ``mapInPandas``.
 
-Tagged and routed rows then go to *executor buckets* (DESIGN.md
-substitution #4): ``to_executor_buckets`` puts bucket ``(s·M + m) mod E``
-in Spark partition b, so each bucket is exactly one Spark task.
+Tagged rows then go to *executor buckets* (DESIGN.md substitution #4):
+``to_executor_buckets`` puts bucket ``(s·M + m) mod E`` in Spark
+partition b, so each bucket is exactly one Spark task. The query path
+keeps the same buckets without a shuffle: each of its E tasks routes the
+broadcast queries with ``route_probes`` and keeps its own probes
+(``repro.core.querying``).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -123,6 +125,27 @@ def tag_partitions(
     return df.select(id_col, vec_col).mapInPandas(tag, schema=schema)
 
 
+def route_probes(
+    segmenter: Segmenter, vectors: np.ndarray, n_shards: int, *, spill: str = "virtual"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fan each query out to every shard × its routed segment(s) (Fig 7).
+
+    Returns ``(row, shard_id, segment_id)``, one entry per probe: ``row``
+    indexes ``vectors``. Sharding is hash-based so every query visits all
+    S shards; segment fan-out is the segmenter's routing decision under the
+    given spill mode. Probes are shard-major, then in query order.
+    """
+    seg_lists = segmenter.route(vectors, spill=spill)
+    counts = np.fromiter(map(len, seg_lists), np.int64, len(seg_lists))
+    rows = np.repeat(np.arange(len(seg_lists)), counts)
+    segs = np.concatenate(seg_lists).astype(np.int64) if seg_lists else rows
+    return (
+        np.tile(rows, n_shards),
+        np.repeat(np.arange(n_shards, dtype=np.int64), len(rows)),
+        np.tile(segs, n_shards),
+    )
+
+
 def route_queries(
     spark: SparkSession,
     queries_df: DataFrame,
@@ -133,12 +156,8 @@ def route_queries(
     id_col: str = "query_id",
     vec_col: str = "vector",
 ) -> DataFrame:
-    """Fan each query out to every shard × its routed segment(s) (Fig 7).
-
-    Output: one row per (query, shard, segment) probe. Sharding is
-    hash-based so every query visits all S shards; segment fan-out is the
-    segmenter's routing decision under the given spill mode.
-    """
+    """``route_probes`` over a query DataFrame: one output row per (query,
+    shard, segment) probe, with the query's id and vector."""
     blob = segmenter.to_bytes()
     bseg = spark.sparkContext.broadcast(blob)
 
@@ -148,18 +167,11 @@ def route_queries(
             if pdf.empty:
                 continue
             vecs = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
-            seg_lists = seg.route(vecs, spill=spill)
-            counts = np.asarray([len(s) for s in seg_lists])
-            rep = np.repeat(np.arange(len(pdf)), counts)
-            base = pdf.iloc[rep][[id_col, vec_col]].reset_index(drop=True)
-            base["segment_id"] = np.concatenate(seg_lists) if len(seg_lists) else []
-            # cross with all shards
-            frames = []
-            for s in range(n_shards):
-                f = base.copy()
-                f["shard_id"] = np.int64(s)
-                frames.append(f)
-            yield pd.concat(frames, ignore_index=True)
+            rows, shards, segs = route_probes(seg, vecs, n_shards, spill=spill)
+            out = pdf.iloc[rows][[id_col, vec_col]].reset_index(drop=True)
+            out["segment_id"] = segs
+            out["shard_id"] = shards
+            yield out
 
     schema = f"{id_col} long, {vec_col} array<float>, segment_id long, shard_id long"
     return queries_df.select(id_col, vec_col).mapInPandas(route, schema=schema)

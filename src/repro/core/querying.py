@@ -1,42 +1,52 @@
 """Partitioned query pipeline (paper Sec 5.3, Fig 7).
 
-Stages, each one a DataFrame transformation:
+One Python stage, one exchange, then both merges:
 
-1. the query set is repartitioned into query partitions and persisted to
-   "HDFS" (a parquet checkpoint — Sec 5.3.1's time-out mitigation, also
-   applied after every later stage);
-2. a *SearchExecutorContext* is formed: each query is routed to every
-   shard × the segment(s) the broadcast segmenter selects for it, and
-   the (shard, segment) probes are grouped into executor buckets, one
-   Spark task each (DESIGN.md substitution #4, ``to_executor_buckets``);
-3. partial search with ``repro.core.search.search_probes`` (online serving's
-   kernel too): each bucket task searches its (shard, segment) HNSW indices
-   from the store with k = ``perShardTopK`` (Sec 5.3.2 — unchanged per segment);
+1. the driver broadcasts the checked query set, in blocks of at most
+   ``QUERY_BLOCK_BYTES``, and the segmenter — as Sec 5.4's brute force
+   broadcasts its query set. With ``checkpoint_dir`` set, the query set is
+   first persisted to "HDFS" (a parquet checkpoint — Sec 5.3.1's time-out
+   mitigation, also applied after the later stages);
+2. a *SearchExecutorContext* per block: ``spark.range(E)`` starts one
+   Spark task per executor bucket b (DESIGN.md substitution #4). Each task
+   routes every query of the block to every shard × the segment(s) the
+   segmenter selects (``repro.core.partitioner.route_probes``), keeps the
+   probes of its own partitions, ``(s·M + m) mod E == b``, and searches them
+   with ``repro.core.search.search_probes`` (online serving's kernel too)
+   at k = ``perShardTopK`` (Sec 5.3.2 — unchanged per segment);
+3. the partials of all blocks are hash-partitioned by query_id: the one
+   exchange;
 4. segment-level merge per (query, shard) — in production this happens
    inside the shard's server node;
 5. shard-level merge per query — the broker-side final merge.
 
 Merges are Catalyst-planned window row_number() over (dist, neighbor_id)
-(see ``repro.bruteforce.spark_bf.merge_topk``). Both run behind one
-exchange: the partials are hash-partitioned by query_id once, and every
-aggregate and window of both levels groups by keys that contain it.
+(see ``repro.bruteforce.spark_bf.merge_topk``); every aggregate and window
+of both levels groups by keys that contain query_id, so none needs a
+further exchange.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.bruteforce.spark_bf import checkpoint, merge_topk
+from repro.bruteforce.spark_bf import checkpoint, merge_topk, rank_topk
 from repro.core.index_store import IndexStore
-from repro.core.partitioner import executor_count, route_queries, to_executor_buckets
+from repro.core.partitioner import executor_count, route_probes
 from repro.core.search import check_queries, search_probes
 from repro.core.topk import per_shard_topk
+from repro.segmenters.learning import segmenter_from_bytes
 from repro.synth_data import vectors_to_df
 
 PARTIAL_SCHEMA = (
     "query_id long, shard_id long, segment_id long, neighbor_id long, dist double"
 )
+# Most bytes of query vectors in one broadcast block; a larger query set is
+# searched block by block, and the blocks' partials meet at the one exchange.
+QUERY_BLOCK_BYTES = 64 << 20
 
 
 def query_index(
@@ -61,48 +71,58 @@ def query_index(
     store = IndexStore(store_root)
     meta = store.load_metadata()
     queries = np.ascontiguousarray(check_queries(queries, meta.dim, topk))
-    segmenter = store.load_segmenter()
     n_exec = executor_count(n_executors, meta.n_shards * meta.n_segments)
     pstk = (
         per_shard_topk(topk, meta.n_shards, confidence)
         if use_per_shard_topk
         else topk
     )
-
-    qdf = vectors_to_df(spark, queries, id_col="query_id")
     if checkpoint_dir is not None:  # Fig 7: query partitions persisted first
-        qdf = checkpoint(qdf, spark, checkpoint_dir, "query-partitions")
+        checkpoint(vectors_to_df(spark, queries, id_col="query_id"), spark,
+                   checkpoint_dir, "query-partitions")
 
-    routed = route_queries(
-        spark, qdf, segmenter, meta.n_shards, spill=meta.spill, id_col="query_id"
-    )
+    sc = spark.sparkContext
+    bseg = sc.broadcast(store.load_segmenter().to_bytes())
 
-    def search_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            search_probes(
-                store.read_index,
-                pdf["query_id"].to_numpy(np.int64),
-                np.stack(pdf["vector"].to_numpy()).astype(np.float32),
-                pdf["shard_id"].to_numpy(),
-                pdf["segment_id"].to_numpy(),
-                pstk,
-                ef,
+    def search_block(first: int, block: np.ndarray) -> DataFrame:
+        """Partials of queries ``first, first + 1, ...``: one task per bucket."""
+        bq = sc.broadcast(block)
+
+        def search_buckets(batches):
+            q = bq.value
+            rows, shards, segs = route_probes(
+                segmenter_from_bytes(bseg.value), q, meta.n_shards, spill=meta.spill
             )
+            bucket = (shards * meta.n_segments + segs) % n_exec
+            for pdf in batches:
+                for b in pdf["id"]:
+                    mine = bucket == b
+                    yield pd.DataFrame(
+                        search_probes(
+                            store.read_index, rows[mine] + first, q[rows[mine]],
+                            shards[mine], segs[mine], pstk, ef,
+                        )
+                    )
+
+        return spark.range(0, n_exec, 1, n_exec).mapInPandas(
+            search_buckets, schema=PARTIAL_SCHEMA
         )
 
-    partials = (
-        to_executor_buckets(routed, meta.n_segments, n_exec)
-        .groupBy("bucket")
-        .applyInPandas(search_bucket, schema=PARTIAL_SCHEMA)
+    step = max(1, QUERY_BLOCK_BYTES // (queries.shape[1] * queries.itemsize))
+    partials = reduce(
+        DataFrame.union,
+        [search_block(i, queries[i : i + step]) for i in range(0, len(queries), step) or [0]],
     )
     if checkpoint_dir is not None:
         partials = checkpoint(partials, spark, checkpoint_dir, "partials")
-    partials = partials.repartition(n_exec, "query_id")  # the one merge exchange
+    partials = partials.repartition(n_exec, "query_id")  # the one exchange
 
     # Level 1: segment merge within (query, shard) — keeps perShardTopK.
     shard_results = merge_topk(partials, pstk, by=("query_id", "shard_id")).drop("rank")
     if checkpoint_dir is not None:
         shard_results = checkpoint(shard_results, spark, checkpoint_dir, "shard-results")
 
-    # Level 2: shard merge per query — the broker-side final topK.
-    return merge_topk(shard_results.drop("shard_id"), topk, by=("query_id",))
+    # Level 2: shard merge per query — the broker-side final topK. shard_of
+    # puts each neighbor in one shard, so level 1 left it at most once per
+    # query: the window alone ranks.
+    return rank_topk(shard_results.drop("shard_id"), topk, by=("query_id",))

@@ -1,13 +1,17 @@
 """Tests for the experiment sweep, table renderers and table registry
 (repro.eval.experiments) on a tiny sweep."""
+from collections import Counter
+
 import pytest
 
+from repro.core.querying import query_index
 from repro.eval import experiments
 from repro.eval.experiments import (
     EXECUTORS,
     PAPER_T1,
     PAPER_T2,
     PAPER_T3,
+    QUERY_REPEATS,
     RECALL_KS,
     TABLE_GROUPS,
     TOPK,
@@ -22,15 +26,30 @@ from repro.synth_data import gaussian_mixture
 
 
 @pytest.fixture(scope="module")
-def result(spark, tmp_path_factory):
+def sweep(spark, tmp_path_factory):
+    """The tiny sweep, and how many ``query_index`` jobs ran on each store."""
+    calls = Counter()
+
+    def counting_query_index(spark, store_root, *args, **kwargs):
+        calls[store_root] += 1
+        return query_index(spark, store_root, *args, **kwargs)
+
     ds = gaussian_mixture(n=800, dim=8, n_clusters=8, n_queries=25, seed=61)
-    return run_lanns_experiment(
-        spark,
-        ds,
-        str(tmp_path_factory.mktemp("harness")),
-        ((1, 2),),
-        executors=(2,),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "query_index", counting_query_index)
+        res = run_lanns_experiment(
+            spark,
+            ds,
+            str(tmp_path_factory.mktemp("harness")),
+            ((1, 2),),
+            executors=(2,),
+        )
+    return res, calls
+
+
+@pytest.fixture(scope="module")
+def result(sweep):
+    return sweep[0]
 
 
 class TestHarness:
@@ -51,6 +70,12 @@ class TestHarness:
         assert ("APD(1,2)", 2) in result.query_ms
         assert all(v > 0 for v in result.build_seconds.values())
         assert all(v > 0 for v in result.query_ms.values())
+
+    def test_query_cell_warmed_then_repeated(self, sweep):
+        """Every query-time cell: one untimed job, then QUERY_REPEATS timed."""
+        result, calls = sweep
+        assert len(calls) == len(result.query_ms) == 4
+        assert set(calls.values()) == {1 + QUERY_REPEATS}
 
     def test_segmenter_learning_times(self, result):
         assert "APD(1,2)" in result.segmenter_learn_seconds

@@ -15,7 +15,7 @@ import pandas as pd
 import pytest
 
 from repro.bruteforce.local import exact_topk
-from repro.core import IndexStore, build_index, per_shard_topk, query_index
+from repro.core import IndexStore, build_index, per_shard_topk, query_index, querying
 from repro.eval.recall import recall_at_k
 from repro.hnsw import graph
 from repro.oracle import assert_equivalent
@@ -190,16 +190,38 @@ class TestQuery:
         """
         assert_equivalent(res, sql, partials=partials)
 
-    def test_plan_has_two_exchanges(self, spark, ds, apd_store_root):
-        """One exchange places the executor buckets, one feeds both merges."""
+    def test_plan_has_one_exchange(self, spark, ds, apd_store_root):
+        """The bucket tasks route and search in one Python stage; one
+        query_id exchange feeds both merges."""
         res = query_index(spark, apd_store_root, ds.queries, 10, ef=80, n_executors=3)
         res.collect()
         plan = res._jdf.queryExecution().executedPlan()
         if plan.nodeName() == "AdaptiveSparkPlan":
             plan = plan.executedPlan()  # the final plan, once executed
-        keys = re.findall(r"Exchange hashpartitioning\((\w+)#\d+L?, 3\)", plan.toString())
-        assert sorted(keys) == ["bucket", "query_id"]
-        assert plan.toString().count("Exchange") == 2
+        text = plan.toString()
+        assert re.findall(r"Exchange (\w+)\((\w+)#\d+L?, 3\)", text) == [
+            ("hashpartitioning", "query_id")
+        ]
+        assert text.count("Exchange") == 1
+        assert not re.search(r"\bbucket#", text)  # no bucket column
+        assert len(re.findall(r"InPandas|ArrowEvalPython|BatchEvalPython", text)) == 1
+
+    def test_query_blocks_match_one_block(self, spark, ds, apd_store_root, monkeypatch):
+        """A query set split into broadcast blocks gives the rows of one block."""
+        def run():
+            res = query_index(spark, apd_store_root, ds.queries, 10, ef=80, n_executors=3)
+            n_blocks = res._jdf.queryExecution().analyzed().toString().count("MapInPandas")
+            return n_blocks, res.toPandas().sort_values(["query_id", "rank"], ignore_index=True)
+
+        n_one, one = run()
+        monkeypatch.setattr(querying, "QUERY_BLOCK_BYTES", 25 * ds.queries[0].nbytes)
+        n_three, three = run()
+        assert (n_one, n_three) == (1, 3)  # 60 queries, 25 a block
+        pd.testing.assert_frame_equal(three, one)
+
+    def test_no_queries_no_rows(self, spark, ds, apd_store_root):
+        res = query_index(spark, apd_store_root, ds.queries[:0], 10, ef=80)
+        assert res.count() == 0
 
     @pytest.mark.parametrize("n_executors", [0, -1])
     def test_invalid_n_executors_raises(self, spark, ds, apd_store_root, n_executors):
