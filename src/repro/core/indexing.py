@@ -4,14 +4,17 @@ Dataflow, at the DataFrame layer throughout:
 
 1. the pre-learnt segmenter is broadcast to executors and every document
    is tagged with its shard id and segment id(s) (``tag_partitions``);
-2. the tagged dataset is repartitioned by (shard, segment) — grouped into
+2. the tagged dataset is repartitioned by (shard, segment) into
    *executor buckets* to model a cluster with E executors (DESIGN.md
-   substitution #4): bucket ``(s·M + m) mod E`` is exactly one Spark task
-   (``to_executor_buckets``) that builds its (shard, segment) groups
-   sequentially, like one executor draining its task queue;
-3. each group's HNSW index is built inside the task and serialized to the
-   index store ("HDFS") *from the executor itself* (by the driver for an
-   empty one: every (shard, segment) of the S×M grid gets an index);
+   substitution #4): ``to_executor_buckets`` puts bucket b =
+   ``bucket_of(s, m)`` in Spark partition b, so each bucket is exactly one
+   Spark task;
+3. the build is one ``mapInPandas``: task b (its partition id) builds every
+   (shard, segment) of bucket b in (s, m) order, like one executor
+   draining its task queue, and serializes each HNSW index to the index
+   store ("HDFS") *from the executor itself*. A (shard, segment) that
+   received no rows gets an empty index from the same task, so every
+   partition of the S×M grid has one;
 4. metadata + the segmenter are written from the driver.
 """
 from __future__ import annotations
@@ -20,10 +23,13 @@ import time
 
 import numpy as np
 import pandas as pd
+from pyspark import TaskContext
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.index_store import IndexMetadata, IndexStore
-from repro.core.partitioner import executor_count, tag_partitions, to_executor_buckets
+from repro.core.partitioner import (
+    bucket_of, executor_count, tag_partitions, to_executor_buckets,
+)
 from repro.hnsw.graph import HNSWIndex
 from repro.segmenters.base import Segmenter, validate_spill
 
@@ -66,34 +72,30 @@ def build_index(
 
     hnsw = dict(metric=metric, hnsw_m=hnsw_m, ef_construction=ef_construction, seed=seed)
 
-    def build_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for (s, m), grp in sorted(pdf.groupby(["shard_id", "segment_id"])):
-            grp = grp.sort_values(id_col)  # deterministic insertion order
-            vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
-            ids = grp[id_col].to_numpy(np.int64)
-            rows.append(build_partition(store, int(s), int(m), vecs, ids, **hnsw))
-        return pd.DataFrame(rows)
+    def build_bucket(batches):
+        """Task b builds every (shard, segment) of bucket b, empty or not."""
+        b = TaskContext.get().partitionId()
+        pdfs = list(batches)
+        groups = dict(iter(pd.concat(pdfs).groupby(["shard_id", "segment_id"]))) if pdfs else {}
+        mine = [(s, m) for s in range(n_shards) for m in range(n_segments)
+                if bucket_of(s, m, n_segments, n_exec) == b]
+        for s, m in mine:
+            grp = groups.get((s, m))
+            if grp is None:
+                vecs, ids = np.empty((0, dim), np.float32), np.empty(0, np.int64)
+            else:
+                grp = grp.sort_values(id_col)  # deterministic insertion order
+                vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
+                ids = grp[id_col].to_numpy(np.int64)
+            yield pd.DataFrame([build_partition(store, s, m, vecs, ids, **hnsw)])
 
-    built = (
+    summary = (
         to_executor_buckets(tagged, n_segments, n_exec)
-        .groupBy("bucket")
-        .applyInPandas(build_bucket, schema=BUILD_SUMMARY_SCHEMA)
+        .mapInPandas(build_bucket, schema=BUILD_SUMMARY_SCHEMA)
         .toPandas()
+        .sort_values(["shard_id", "segment_id"])
+        .reset_index(drop=True)
     )
-    # A (shard, segment) that received no rows gets an empty index.
-    done = set(zip(built["shard_id"].tolist(), built["segment_id"].tolist()))
-    empty = [
-        build_partition(
-            store, s, m, np.empty((0, dim), np.float32), np.empty(0, np.int64), **hnsw
-        )
-        for s in range(n_shards)
-        for m in range(n_segments)
-        if (s, m) not in done
-    ]
-    if empty:
-        built = pd.concat([built, pd.DataFrame(empty)], ignore_index=True)
-    summary = built.sort_values(["shard_id", "segment_id"]).reset_index(drop=True)
 
     # Driver-side: metadata + segmenter accompany the index (Fig 6).
     write_store_metadata(

@@ -8,11 +8,12 @@ must probe). Both taggers are DataFrame → DataFrame transformations with
 the numpy work inside Arrow-backed ``mapInPandas``.
 
 Tagged rows then go to *executor buckets* (DESIGN.md substitution #4):
-``to_executor_buckets`` puts bucket ``(s·M + m) mod E`` in Spark
-partition b, so each bucket is exactly one Spark task. The query path
-keeps the same buckets without a shuffle: each of its E tasks routes the
-broadcast queries with ``route_probes`` and keeps its own probes
-(``repro.core.querying``).
+``to_executor_buckets`` puts the rows of bucket b = ``bucket_of(s, m)``
+in Spark partition b with Spark's own ``repartitionById``, so each bucket
+is exactly one Spark task and the task's partition id is its bucket. The
+query path keeps the same buckets without a shuffle: each of its E tasks
+routes the broadcast queries with ``route_probes`` and keeps the probes of
+its own bucket (``repro.core.querying``).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from repro.segmenters.base import Segmenter, mix64
 from repro.segmenters.learning import segmenter_from_bytes
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
-_U32 = 0xFFFFFFFF
 
 
 def shard_of(ids: np.ndarray, n_shards: int) -> np.ndarray:
@@ -44,47 +44,18 @@ def executor_count(n_executors: int | None, n_parts: int) -> int:
     return min(n_executors or n_parts, n_parts)
 
 
-def _rotl32(x: int, r: int) -> int:
-    return ((x << r) | (x >> (32 - r))) & _U32
-
-
-def _mix_h1(h1: int, k1: int) -> int:
-    k1 = _rotl32(k1 * 0xCC9E2D51 & _U32, 15) * 0x1B873593 & _U32
-    return (_rotl32(h1 ^ k1, 13) * 5 + 0xE6546B64) & _U32
-
-
-def spark_hash_long(x: int) -> int:
-    """Spark's ``hash()`` of a ``long`` value: Murmur3_x86_32.hashLong with
-    seed 42, as a signed 32-bit int. (An ``int`` value hashes differently.)"""
-    x &= 0xFFFFFFFFFFFFFFFF
-    h = _mix_h1(_mix_h1(42, x & _U32), x >> 32) ^ 8
-    h = (h ^ (h >> 16)) * 0x85EBCA6B & _U32
-    h = (h ^ (h >> 13)) * 0xC2B2AE35 & _U32
-    h ^= h >> 16
-    return h - (1 << 32) if h >> 31 else h
-
-
-def bucket_keys(n: int) -> list[int]:
-    """``keys[b]``: the smallest non-negative long whose Spark hash
-    partition among ``n``, ``pmod(hash(key), n)``, is b."""
-    keys: dict[int, int] = {}
-    key = 0
-    while len(keys) < n:
-        keys.setdefault(spark_hash_long(key) % n, key)
-        key += 1
-    return [keys[b] for b in range(n)]
+def bucket_of(shard, segment, n_segments: int, n_exec: int):
+    """Executor bucket of (shard, segment): ``(s·M + m) mod E``. The same
+    arithmetic serves ints, numpy arrays and Spark Columns."""
+    return (shard * n_segments + segment) % n_exec
 
 
 def to_executor_buckets(df: DataFrame, n_segments: int, n_exec: int) -> DataFrame:
     """Repartition (shard_id, segment_id) rows into ``n_exec`` executor
-    buckets, one Spark partition each: the rows of bucket b = (s·M + m)
-    mod E, and only they, land in partition b. Their ``bucket`` column is
-    ``bucket_keys(E)[b]``, so ``groupBy("bucket")`` needs no further
-    exchange and no two buckets share a task."""
-    # cast: the keys must be long, since an int literal hashes differently
-    keys = F.array(*[F.lit(k).cast("long") for k in bucket_keys(n_exec)])
-    b = ((F.col("shard_id") * n_segments + F.col("segment_id")) % n_exec).cast("int")
-    return df.withColumn("bucket", F.get(keys, b)).repartition(n_exec, "bucket")
+    buckets: Spark's ``repartitionById`` puts the rows of bucket b, and
+    only they, in partition b, so each bucket is exactly one Spark task."""
+    b = bucket_of(F.col("shard_id"), F.col("segment_id"), n_segments, n_exec)
+    return df.repartitionById(n_exec, b.cast("int"))
 
 
 def tag_partitions(

@@ -11,7 +11,7 @@ One Python stage, one exchange, then both merges:
    Spark task per executor bucket b (DESIGN.md substitution #4). Each task
    routes every query of the block to every shard × the segment(s) the
    segmenter selects (``repro.core.partitioner.route_probes``), keeps the
-   probes of its own partitions, ``(s·M + m) mod E == b``, and searches them
+   probes of its own partitions, ``bucket_of(s, m) == b``, and searches them
    with ``repro.core.search.search_probes`` (online serving's kernel too)
    at k = ``perShardTopK`` (Sec 5.3.2 — unchanged per segment);
 3. the partials of all blocks are hash-partitioned by query_id: the one
@@ -35,7 +35,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.bruteforce.spark_bf import checkpoint, merge_topk, rank_topk
 from repro.core.index_store import IndexStore
-from repro.core.partitioner import executor_count, route_probes
+from repro.core.partitioner import bucket_of, executor_count, route_probes
 from repro.core.search import check_queries, search_probes
 from repro.core.topk import per_shard_topk
 from repro.segmenters.learning import segmenter_from_bytes
@@ -93,7 +93,7 @@ def query_index(
             rows, shards, segs = route_probes(
                 segmenter_from_bytes(bseg.value), q, meta.n_shards, spill=meta.spill
             )
-            bucket = (shards * meta.n_segments + segs) % n_exec
+            bucket = bucket_of(shards, segs, meta.n_segments, n_exec)
             for pdf in batches:
                 for b in pdf["id"]:
                     mine = bucket == b

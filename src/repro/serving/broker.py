@@ -24,7 +24,8 @@ class ServingStats:
 
 
 class Broker:
-    """Client-facing node: computes perShardTopK, merges shard responses."""
+    """Client-facing node: routes each query once, computes perShardTopK,
+    merges shard responses."""
 
     def __init__(
         self,
@@ -35,6 +36,7 @@ class Broker:
         use_per_shard_topk: bool = True,
     ):
         self.meta = store.load_metadata()
+        self.segmenter = store.load_segmenter()
         self.confidence = confidence
         self.use_per_shard_topk = use_per_shard_topk
         self.searchers = [
@@ -55,8 +57,9 @@ class Broker:
             if self.use_per_shard_topk
             else topk
         )
-        # Broker-side fan-out + final merge.
-        ids, dists = zip(*(s.search(query, pstk) for s in self.searchers))
+        # Broker-side routing, fan-out + final merge.
+        segs = self.segmenter.route(query[None], spill=self.meta.spill)[0]
+        ids, dists = zip(*(s.search(query, segs, pstk) for s in self.searchers))
         ids, dists = merge_candidates(np.concatenate(ids), np.concatenate(dists), topk)
         return ids, dists.astype(np.float32)
 

@@ -141,12 +141,3 @@ def vectors_to_df(
     )
     return spark.createDataFrame(pdf)
 
-
-def df_to_vectors(
-    df, *, id_col: str = "id", vec_col: str = "vector"
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Spark DataFrame (id, vector) -> (ids (n,), vectors (n, d)) sorted by id."""
-    pdf = df.select(id_col, vec_col).toPandas().sort_values(id_col)
-    ids = pdf[id_col].to_numpy(np.int64)
-    vecs = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
-    return ids, vecs

@@ -77,9 +77,6 @@ class TestHarness:
         assert len(calls) == len(result.query_ms) == 4
         assert set(calls.values()) == {1 + QUERY_REPEATS}
 
-    def test_segmenter_learning_times(self, result):
-        assert "APD(1,2)" in result.segmenter_learn_seconds
-
     def test_result_dataclass_fields(self, result):
         assert isinstance(result, ExperimentResult)
         assert result.topk == TOPK

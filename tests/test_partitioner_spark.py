@@ -1,5 +1,7 @@
 """Tests for the two-level tagging / routing (repro.core.partitioner),
 oracle-verified against an independent driver-side reference."""
+import re
+
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
@@ -9,7 +11,6 @@ from repro.core.partitioner import (
     executor_count,
     route_queries,
     shard_of,
-    spark_hash_long,
     tag_partitions,
     to_executor_buckets,
 )
@@ -141,14 +142,6 @@ class TestRouteQueries:
 class TestExecutorBuckets:
     """Bucket (s·M + m) mod E is Spark partition b: one task per bucket."""
 
-    def test_hash_matches_spark(self, spark):
-        vals = [0, 1, -1, 7, -42, 2**31 - 1, -(2**31), 2**31, 2**32 - 1, 2**32,
-                2**32 + 1, 3 * 2**40 + 5, -(2**40) - 3, 2**63 - 1, -(2**63)]
-        got = spark.createDataFrame([(v,) for v in vals], "x long").select(
-            "x", F.hash("x").alias("h")
-        ).collect()
-        assert {r.x: r.h for r in got} == {v: spark_hash_long(v) for v in vals}
-
     @pytest.mark.parametrize("n_exec", [1, 2, 3, 4, 8])
     def test_each_bucket_is_one_partition(self, spark, df, rh, ds, n_exec):
         """Tagged (build) and routed (query) rows of a 2 × 4 grid sit in
@@ -161,6 +154,14 @@ class TestExecutorBuckets:
             expect = (placed["shard_id"] * rh.n_segments + placed["segment_id"]) % n_exec
             assert (placed["part"] == expect).all()
             assert placed["part"].nunique() == n_exec
+
+    def test_build_plan_has_one_exchange(self, spark, df, rh):
+        """Bucketing needs Spark's partition-id passthrough and no hash."""
+        placed = to_executor_buckets(tag_partitions(spark, df, rh, 2), rh.n_segments, 3)
+        text = placed._jdf.queryExecution().executedPlan().toString()
+        assert text.count("Exchange") == 1
+        assert re.search(r"Exchange shufflepartitionidpassthrough\(.*, 3\)", text)
+        assert "hashpartitioning" not in text
 
     def test_executor_count(self):
         assert executor_count(None, 8) == 8

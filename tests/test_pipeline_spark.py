@@ -301,12 +301,14 @@ class TestEmptyPartitions:
     """12 points over RS with 2 shards × 8 segments: several (shard, segment)
     partitions receive no rows, yet both query paths see the full grid."""
 
+    n_executors = 4
+
     @pytest.fixture(scope="class")
     def tiny(self, spark, tmp_path_factory):
         ds = gaussian_mixture(n=12, dim=6, n_clusters=2, n_queries=5, seed=7)
         root = str(tmp_path_factory.mktemp("tiny") / "rs")
         summary = build_index(spark, vectors_to_df(spark, ds.base, ds.ids), root,
-                              RandomSegmenter(8), 2, n_executors=4,
+                              RandomSegmenter(8), 2, n_executors=self.n_executors,
                               ef_construction=20, hnsw_m=4)
         return ds, root, summary
 
@@ -349,3 +351,10 @@ class TestEmptyPartitions:
             query_index(spark, broken, ds.queries, 5, ef=50).toPandas()
         with pytest.raises(error):
             Broker(IndexStore(broken), ef=50)
+
+
+class TestEmptyBuckets(TestEmptyPartitions):
+    """``n_executors=None``: 16 buckets, one per partition, so whole buckets
+    get no rows, and their tasks must still write the empty indexes."""
+
+    n_executors = None

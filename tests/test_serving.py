@@ -39,13 +39,13 @@ class TestSearcher:
 
     def test_results_sorted_and_bounded(self, rs_store, ds):
         s = Searcher(rs_store, 0, ef=100)
-        ids, dists = s.search(ds.queries[0], 10)
+        ids, dists = s.search(ds.queries[0], np.arange(4), 10)
         assert len(ids) == len(dists) <= 10
         assert dists.tolist() == sorted(dists.tolist())
 
     def test_rs_probes_all_segments(self, rs_store, ds):
-        """RS has no locality: searcher results must equal an exhaustive
-        scan over everything the shard hosts."""
+        """RS has no locality: searcher results over the routed segments
+        must equal an exhaustive scan over everything the shard hosts."""
         s = Searcher(rs_store, 0, ef=10_000)
         all_ids, all_vecs = [], []
         for m, idx in s._segments.items():
@@ -54,8 +54,9 @@ class TestSearcher:
         ids = np.concatenate(all_ids)
         vecs = np.vstack(all_vecs)
         gt, _ = exact_topk(ds.queries[:5], vecs, 10, ids=ids)
+        routes = rs_store.load_segmenter().route(ds.queries[:5])
         for qi in range(5):
-            got, _ = s.search(ds.queries[qi], 10)
+            got, _ = s.search(ds.queries[qi], routes[qi], 10)
             assert set(got.tolist()) == set(gt[qi].tolist())
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.bruteforce.local import exact_topk
 from repro.synth_data import (
     AnnDataset,
-    df_to_vectors,
     gaussian_mixture,
     gist_like,
     groups_like,
@@ -84,16 +83,17 @@ class TestSparkConversion:
     def test_roundtrip(self, spark):
         ds = gaussian_mixture(n=150, dim=7, n_clusters=3, n_queries=5, seed=6)
         df = vectors_to_df(spark, ds.base, ds.ids)
-        ids, vecs = df_to_vectors(df)
-        np.testing.assert_array_equal(ids, ds.ids)
-        np.testing.assert_allclose(vecs, ds.base, rtol=1e-6)
+        pdf = df.toPandas()
+        np.testing.assert_array_equal(pdf["id"].to_numpy(), ds.ids)
+        np.testing.assert_allclose(np.stack(pdf["vector"]), ds.base, rtol=1e-6)
 
     def test_custom_columns(self, spark):
         ds = gaussian_mixture(n=40, dim=3, n_clusters=2, n_queries=2, seed=7)
         df = vectors_to_df(spark, ds.base, ds.ids, id_col="query_id", vec_col="v")
         assert set(df.columns) == {"query_id", "v"}
-        ids, vecs = df_to_vectors(df, id_col="query_id", vec_col="v")
-        np.testing.assert_allclose(vecs, ds.base, rtol=1e-6)
+        pdf = df.toPandas()
+        np.testing.assert_array_equal(pdf["query_id"].to_numpy(), ds.ids)
+        np.testing.assert_allclose(np.stack(pdf["v"]), ds.base, rtol=1e-6)
 
     def test_schema_types(self, spark):
         ds = gaussian_mixture(n=20, dim=3, n_clusters=2, n_queries=2, seed=8)
