@@ -84,7 +84,7 @@ def build_index(
             if grp is None:
                 vecs, ids = np.empty((0, dim), np.float32), np.empty(0, np.int64)
             else:
-                grp = grp.sort_values(id_col)  # deterministic insertion order
+                grp = grp.sort_values(id_col)  # deterministic: add_items refuses a repeated id
                 vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
                 ids = grp[id_col].to_numpy(np.int64)
             yield pd.DataFrame([build_partition(store, s, m, vecs, ids, **hnsw)])

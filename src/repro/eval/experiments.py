@@ -55,9 +55,9 @@ EF_CONSTRUCTION = 100
 EF_SEARCH = 160
 SPILL = "virtual"
 SEED = 0
-# Each query-time cell (Tables 3, 6) is the median of this many timed
-# query_index jobs, and each Table 7 QPS cell the median of this many
-# Broker.benchmark passes, after one untimed run on the same store.
+# Each query-time cell (Tables 3, 6, 8) is the median of this many timed
+# query_index jobs (``timed_query``), and each Table 7 QPS cell the median of
+# this many Broker.benchmark passes, after one untimed run on the same store.
 QUERY_REPEATS = 3
 
 RESULTS_DIR = os.environ.get(
@@ -156,6 +156,24 @@ class ExperimentResult:
     query_ms: dict[tuple[str, int], float] = field(default_factory=dict)  # (method, E)
 
 
+def timed_query(
+    spark: SparkSession, store_root: str, queries: np.ndarray, topk: int, **kwargs
+) -> tuple[pd.DataFrame, float]:
+    """One untimed ``query_index`` job (the first job of a session runs cold),
+    then ``QUERY_REPEATS`` timed ones; returns the last job's rows and the
+    median of the timed jobs' wall seconds."""
+    def query() -> pd.DataFrame:
+        return query_index(spark, store_root, queries, topk, **kwargs).toPandas()
+
+    out = query()
+    walls = []
+    for _ in range(QUERY_REPEATS):
+        t0 = time.perf_counter()
+        out = query()
+        walls.append(time.perf_counter() - t0)
+    return out, float(np.median(walls))
+
+
 def run_lanns_experiment(
     spark: SparkSession,
     dataset: AnnDataset,
@@ -187,21 +205,11 @@ def run_lanns_experiment(
         )
         res.build_seconds[(method, e)] = time.perf_counter() - t0
 
-        def query() -> pd.DataFrame:
-            return query_index(
-                spark, root, dataset.queries, TOPK,
-                ef=EF_SEARCH, confidence=CONFIDENCE, n_executors=e,
-            ).toPandas()
-
-        out = query()  # untimed: the first configuration would time a cold session
-        walls = []
-        for _ in range(QUERY_REPEATS):
-            t0 = time.perf_counter()
-            out = query()
-            walls.append(time.perf_counter() - t0)
-        res.query_ms[(method, e)] = (
-            float(np.median(walls)) * 1000.0 / dataset.queries.shape[0]
+        out, query_s = timed_query(
+            spark, root, dataset.queries, TOPK,
+            ef=EF_SEARCH, confidence=CONFIDENCE, n_executors=e,
         )
+        res.query_ms[(method, e)] = query_s * 1000.0 / dataset.queries.shape[0]
         return out
 
     out = one_config("HNSW", learn_segmenter("RS", 1), 1, min(executors))
@@ -368,8 +376,9 @@ REALWORLD_SPECS = {
 def run_realworld(
     spark: SparkSession, work_dir: str, *, scale: float = 1.0
 ) -> list[RealWorldRow]:
-    """Tables 8-9: end-to-end build+query times and recall for the four
-    production-dataset proxies, each with its (scaled) shard count."""
+    """Tables 8-9: end-to-end build time (one job), query time
+    (``timed_query``) and recall for the four production-dataset proxies,
+    each with its (scaled) shard count."""
     rows = []
     for name, (gen, n_shards, n_segments, kind, k, alpha) in REALWORLD_SPECS.items():
         ds = gen() if scale >= 1.0 else gen(
@@ -389,9 +398,7 @@ def run_realworld(
                     hnsw_m=HNSW_M, ef_construction=EF_CONSTRUCTION)
         build_s = time.perf_counter() - t0
         gt, _ = exact_topk(ds.queries, ds.base, k, ids=ds.ids, metric=ds.metric)
-        t0 = time.perf_counter()
-        res = query_index(spark, root, ds.queries, k, ef=max(150, 2 * k)).toPandas()
-        query_s = time.perf_counter() - t0
+        res, query_s = timed_query(spark, root, ds.queries, k, ef=max(150, 2 * k))
         rows.append(
             RealWorldRow(
                 dataset=name, n_shards=n_shards, dim=ds.dim, index_size=ds.n,

@@ -8,32 +8,25 @@ paper's algorithms:
   descent through upper layers; ef_construction-bounded candidate search
   and bidirectional linking with degree caps (M above layer 0, 2M at
   layer 0) on the way down.
-- Alg 2 (SEARCH-LAYER): best-first frontier search with an ef-bounded
-  result heap and a visited set.
+- Alg 2 (SEARCH-LAYER): best-first search over one result list of at most
+  ef (distance, node) entries, kept sorted: each step expands the closest
+  result not yet expanded and merges its unvisited neighbors in, and the
+  search stops when every result is expanded.
 - Alg 2 in lockstep, for a search call with many queries (an offline
   query's probes of one partition): every step expands, for every query
   still searching, its closest result not yet expanded, so one gather of
   neighbor rows (padded neighbor matrices with a sentinel node), one
   visited-bitmap lookup, one distance product and one row sort serve them
   all. Each query's result list is a sorted row of uint64 keys (float32
-  distance bits, node, "expanded" bit), so on data without exact
-  distance ties a query takes the same steps and gets the same results as
-  alone. Each distance comes from the same BLAS routine as on the serial
-  path, so it has the same bits.
+  distance bits, node, "expanded" bit), so a query takes the same steps
+  and gets the same results as alone. Each distance comes from the same
+  BLAS routine as on the serial path, so it has the same bits.
 - Alg 4 (SELECT-NEIGHBORS-HEURISTIC): diversity-aware neighbor selection
   with keepPrunedConnections, which is what keeps recall high on the
   clustered data the LANNS segmenters produce.
 
-Ties: both paths order results by (distance, node), and on data without
-exact distance ties they return bitwise-equal ids and distances. An exact
-tie met at the ef boundary at any step of the search can make them differ
-by more than the tied members: the serial heap admits a node only if
-strictly closer than the worst result and evicts the lower node id first,
-while the lockstep row keeps the lower ids; and the serial search can
-still pop and expand a tied candidate that it has already evicted from its
-results, which the lockstep search never does. Either choice changes which
-nodes are expanded next, so it can change the search path and with it the
-whole result.
+Ties: both paths order results by (distance, node), so they return
+bitwise-equal ids and distances, exact distance ties included.
 
 Distances are computed internally as monotone surrogates (squared-L2
 offset by a per-query constant; negative inner product for cosine) and
@@ -43,7 +36,7 @@ queries with NaN or inf are refused.
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from bisect import bisect
 from itertools import chain
 from typing import Iterator
 
@@ -184,38 +177,33 @@ class HNSWIndex:
         """Alg 2: ef-bounded best-first search in one layer.
 
         ``entry_points`` are (surrogate_dist, node) pairs; returns up to
-        ``ef`` (surrogate_dist, node) pairs sorted ascending.
+        ``ef`` (surrogate_dist, node) pairs sorted ascending. This is
+        ``_layer0_batch``'s rule on one query: a key enters the results only
+        while they are fewer than ef or it sorts before the last.
         """
         links = self._links[level]
         visited = {n for _, n in entry_points}
-        candidates = list(entry_points)
-        heapify(candidates)
-        results = [(-d, n) for d, n in entry_points]
-        heapify(results)
-        while len(results) > ef:
-            heappop(results)
-        while candidates:
-            d, c = heappop(candidates)
-            if d > -results[0][0] and len(results) >= ef:
-                break
+        results = sorted(entry_points)[:ef]
+        expanded: set[int] = set()
+        i = 0  # every result before i is expanded
+        while True:
+            while i < len(results) and results[i][1] in expanded:
+                i += 1
+            if i == len(results):
+                return results
+            c = results[i][1]
+            expanded.add(c)
             fresh = [n for n in links.get(c, ()) if n not in visited]
             if not fresh:
                 continue
             visited.update(fresh)
             nd = self._surrogate(q, np.asarray(fresh, dtype=np.int64))
-            bound = -results[0][0]
-            full = len(results) >= ef
-            for dn, n in zip(nd.tolist(), fresh):
-                if not full or dn < bound:
-                    heappush(candidates, (dn, n))
-                    heappush(results, (-dn, n))
-                    if len(results) > ef:
-                        heappop(results)
-                    bound = -results[0][0]
-                    full = len(results) >= ef
-        out = [(-d, n) for d, n in results]
-        out.sort()
-        return out
+            for key in zip(nd.tolist(), fresh):
+                if len(results) < ef or key < results[-1]:
+                    j = bisect(results, key)
+                    results.insert(j, key)
+                    del results[ef:]
+                    i = min(i, j)
 
     def _greedy_descend(self, q: np.ndarray, node: int, level: int) -> tuple[float, int]:
         """ef=1 greedy walk within one layer; returns (surrogate_dist, node)."""
@@ -286,13 +274,17 @@ class HNSWIndex:
 
     # ---------------------------------------------------------------- insert
     def add_items(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Insert a batch of vectors with external int64 ids (Alg 1)."""
+        """Insert a batch of vectors with external int64 ids (Alg 1). An id
+        that repeats in the batch or is already indexed raises ValueError."""
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) vectors, got {vectors.shape}")
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         if ids.shape[0] != vectors.shape[0]:
             raise ValueError("ids and vectors length mismatch")
+        known, counts = np.unique(np.concatenate([self._ids, ids]), return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"id {known[counts > 1][0]} is given twice; ids must be unique")
         _check_finite(vectors, "vectors")
         stored = normalize_rows(vectors) if self.metric == "cosine" else vectors
         start = self.n_items

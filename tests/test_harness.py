@@ -12,6 +12,7 @@ from repro.eval.experiments import (
     PAPER_T2,
     PAPER_T3,
     QUERY_REPEATS,
+    REALWORLD_SPECS,
     RECALL_KS,
     TABLE_GROUPS,
     TOPK,
@@ -21,22 +22,27 @@ from repro.eval.experiments import (
     format_query_table,
     format_table_1_or_4,
     run_lanns_experiment,
+    run_realworld,
 )
 from repro.synth_data import gaussian_mixture
+
+
+def _counting(calls: Counter):
+    """``query_index`` that counts its jobs per store in ``calls``."""
+    def counting_query_index(spark, store_root, *args, **kwargs):
+        calls[store_root] += 1
+        return query_index(spark, store_root, *args, **kwargs)
+
+    return counting_query_index
 
 
 @pytest.fixture(scope="module")
 def sweep(spark, tmp_path_factory):
     """The tiny sweep, and how many ``query_index`` jobs ran on each store."""
     calls = Counter()
-
-    def counting_query_index(spark, store_root, *args, **kwargs):
-        calls[store_root] += 1
-        return query_index(spark, store_root, *args, **kwargs)
-
     ds = gaussian_mixture(n=800, dim=8, n_clusters=8, n_queries=25, seed=61)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "query_index", counting_query_index)
+        mp.setattr(experiments, "query_index", _counting(calls))
         res = run_lanns_experiment(
             spark,
             ds,
@@ -45,6 +51,18 @@ def sweep(spark, tmp_path_factory):
             executors=(2,),
         )
     return res, calls
+
+
+@pytest.fixture(scope="module")
+def realworld(spark, tmp_path_factory):
+    """Tables 8-9 at the smallest scale, for one proxy dataset, and how many
+    ``query_index`` jobs ran on its store."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "query_index", _counting(calls))
+        mp.setattr(experiments, "REALWORLD_SPECS", {"PYMK": REALWORLD_SPECS["PYMK"]})
+        rows = run_realworld(spark, str(tmp_path_factory.mktemp("realworld")), scale=0.0)
+    return rows, calls
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +89,15 @@ class TestHarness:
         assert all(v > 0 for v in result.build_seconds.values())
         assert all(v > 0 for v in result.query_ms.values())
 
-    def test_query_cell_warmed_then_repeated(self, sweep):
-        """Every query-time cell: one untimed job, then QUERY_REPEATS timed."""
+    def test_query_cell_warmed_then_repeated(self, sweep, realworld):
+        """Every query-time cell of Tables 3/6 and 8: one untimed job, then
+        QUERY_REPEATS timed."""
         result, calls = sweep
         assert len(calls) == len(result.query_ms) == 4
         assert set(calls.values()) == {1 + QUERY_REPEATS}
+        rows, calls = realworld
+        assert [r.dataset for r in rows] == ["PYMK"] and rows[0].query_seconds > 0
+        assert list(calls.values()) == [1 + QUERY_REPEATS]
 
     def test_result_dataclass_fields(self, result):
         assert isinstance(result, ExperimentResult)

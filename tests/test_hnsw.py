@@ -83,6 +83,20 @@ class TestConstruction:
             idx.add_items(base, np.arange(3))
         assert idx.n_items == 0 and idx.ids.shape == (0,)
 
+    def test_repeated_id_refused(self):
+        """An id given twice used to be stored twice: with id 3 on two copies
+        of v[3], ``search(v[3], 3)`` returned id 3 twice."""
+        v = np.random.default_rng(0).normal(size=(8, 4)).astype(np.float32)
+        v[7] = v[3]
+        idx = HNSWIndex(4)
+        with pytest.raises(ValueError, match="id 3 is given twice"):
+            idx.add_items(v, np.array([0, 1, 2, 3, 4, 5, 6, 3]))
+        assert idx.n_items == 0 and idx.ids.shape == (0,)
+        idx.add_items(v[:4], np.arange(4))
+        with pytest.raises(ValueError, match="id 3 is given twice"):
+            idx.add_items(v[4:], np.array([4, 5, 6, 3]))
+        assert idx.n_items == 4 and idx.ids.tolist() == [0, 1, 2, 3]
+
     def test_incremental_adds(self):
         g = np.random.default_rng(0)
         a, b = g.normal(size=(60, 5)).astype(np.float32), g.normal(size=(40, 5)).astype(np.float32)
@@ -225,14 +239,21 @@ class TestLockstep:
     k=st.integers(1, 320),
     ef=st.integers(1, 120),
     seed=st.integers(0, 2**16),
+    repeat=st.integers(1, 20),
 )
-def test_property_lockstep_equals_one_at_a_time(n, dim, metric, k, ef, seed):
-    """On tie-free data (random float32 vectors) a lockstep call returns
-    bitwise the (ids, dists) of the same rows searched one at a time; k may
-    exceed n and ef may be below k."""
+# 60 distinct rows x 20 and 30 distinct rows x 5: the two paths used to
+# break these exact ties differently.
+@example(n=1200, dim=8, metric="l2", k=10, ef=10, seed=0, repeat=20)
+@example(n=150, dim=4, metric="cosine", k=7, ef=7, seed=0, repeat=5)
+def test_property_lockstep_equals_one_at_a_time(n, dim, metric, k, ef, seed, repeat):
+    """A lockstep call returns bitwise the (ids, dists) of the same rows
+    searched one at a time. Each random row is stored ``repeat`` times under
+    its own ids, so exact distance ties are common; k may exceed n and ef
+    may be below k."""
     g = np.random.default_rng(seed)
+    rows = g.normal(size=(-(-n // repeat), dim)).astype(np.float32)
     idx = HNSWIndex(dim, M=6, ef_construction=30, metric=metric, seed=seed)
-    idx.add_items(g.normal(size=(n, dim)).astype(np.float32), g.permutation(10 * n + 1)[:n])
+    idx.add_items(np.repeat(rows, repeat, axis=0)[:n], g.permutation(10 * n + 1)[:n])
     queries = g.normal(size=(graph._BATCH_MIN + 4, dim)).astype(np.float32)
     ids, dists = idx.search(queries, k, ef=ef)
     for i, q in enumerate(queries):

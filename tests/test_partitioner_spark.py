@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.partitioner import (
     executor_count,
+    route_probes,
     route_queries,
     shard_of,
     tag_partitions,
@@ -137,6 +138,48 @@ class TestRouteQueries:
         routed = route_queries(spark, qdf, rh, 2, spill="physical").toPandas()
         per = routed.groupby(["query_id", "shard_id"]).size()
         assert (per == 1).all()
+
+
+class TestRouteProbes:
+    """``route_probes`` on its own: numpy only, no Spark."""
+
+    def test_shard_major_then_query_order(self, ds, rh):
+        rows, shards, segs = route_probes(rh, ds.queries, 3)
+        assert (np.diff(shards) >= 0).all()
+        per_shard = len(rows) // 3
+        for s in range(3):
+            mine = slice(s * per_shard, (s + 1) * per_shard)
+            assert (shards[mine] == s).all() and (np.diff(rows[mine]) >= 0).all()
+            np.testing.assert_array_equal(rows[mine], rows[:per_shard])
+            np.testing.assert_array_equal(segs[mine], segs[:per_shard])
+
+    @pytest.mark.parametrize("spill", ["virtual", "physical"])
+    def test_matches_segmenter_route(self, ds, rh, spill):
+        rows, shards, segs = route_probes(rh, ds.queries, 2, spill=spill)
+        expect = rh.route(ds.queries, spill=spill)
+        counts = [len(e) for e in expect]
+        if spill == "virtual":
+            assert max(counts) > 1  # some query fans out to two segments
+        else:
+            assert set(counts) == {1}
+        for s in range(2):
+            mine = shards == s
+            np.testing.assert_array_equal(np.bincount(rows[mine], minlength=len(expect)), counts)
+            np.testing.assert_array_equal(segs[mine], np.concatenate(expect))
+
+    def test_rs_fans_out_to_every_segment(self, ds):
+        rows, shards, segs = route_probes(RandomSegmenter(4), ds.queries, 2)
+        assert len(rows) == ds.queries.shape[0] * 2 * 4
+        probes = pd.DataFrame({"q": rows, "s": shards, "m": segs})
+        per = probes.groupby(["q", "s"])["m"].apply(sorted)
+        assert len(per) == ds.queries.shape[0] * 2
+        assert all(m == [0, 1, 2, 3] for m in per)
+
+    @pytest.mark.parametrize("segmenter", ["RH", "RS"])
+    def test_no_queries_no_probes(self, ds, rh, segmenter):
+        seg = rh if segmenter == "RH" else RandomSegmenter(4)
+        for a in route_probes(seg, ds.queries[:0], 3):
+            assert a.dtype == np.int64 and a.shape == (0,)
 
 
 class TestExecutorBuckets:

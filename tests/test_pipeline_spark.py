@@ -74,6 +74,18 @@ def apd_store_root(spark, ds, df, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def dup_store_root(spark, ds, tmp_path_factory):
+    """100 base vectors stored 20 times each, every copy under its own id, so
+    exact distance ties fill every partition; the APD store's segmenter."""
+    base = np.repeat(ds.base[:100], 20, axis=0)
+    ids = np.random.default_rng(0).permutation(base.shape[0])
+    root = str(tmp_path_factory.mktemp("pipe") / "dup")
+    build_index(spark, vectors_to_df(spark, base, ids), root, _segmenter("APD", ds), 2,
+                n_executors=4, ef_construction=8, hnsw_m=4)
+    return root
+
+
 class TestBuild:
     @pytest.mark.parametrize("kind", ["RS", "RH", "APD"])
     def test_partition_contents_match_reference(self, spark, ds, df, tmp_path, kind):
@@ -110,6 +122,13 @@ class TestBuild:
         empty = df.filter("id < 0")
         with pytest.raises(Exception):
             build_index(spark, empty, str(tmp_path / "empty"), _segmenter("RS", ds), 1)
+
+    def test_repeated_row_raises(self, spark, ds, df, tmp_path):
+        """An id given twice is refused by the task that builds its partition."""
+        twice = df.union(df.filter("id = 5"))
+        with pytest.raises(Exception, match="ValueError: id 5 is given twice"):
+            build_index(spark, twice, str(tmp_path / "twice"), _segmenter("RS", ds), 2,
+                        n_executors=2, ef_construction=20)
 
     def test_build_deterministic(self, spark, ds, df, tmp_path):
         """Stores built with E = 1..4 executor buckets are byte-identical and
@@ -276,25 +295,28 @@ class TestQuery:
                         use_per_shard_topk=False).toPandas()
         assert recall_at_k(a, gt, 20) >= recall_at_k(b, gt, 20) - 0.02
 
-    def test_matches_serving_broker(self, spark, ds, apd_store_root):
-        """Offline Spark pipeline ≡ online broker path on the same store. The
-        broker searches one query per segment (the serial kernel); offline,
-        every partition gets enough probes for the lockstep kernel."""
+    def test_matches_serving_broker(self, spark, ds, apd_store_root, dup_store_root):
+        """Offline Spark pipeline ≡ online broker path on the same store, and
+        on a store of duplicated vectors, whose exact ties both HNSW search
+        paths must break alike. The broker searches one query per segment (the
+        serial kernel); offline, every partition gets enough probes for the
+        lockstep kernel."""
         more = gaussian_mixture(n=2000, dim=12, n_clusters=16, n_queries=200, seed=51)
-        np.testing.assert_array_equal(more.base, ds.base)  # the store's data
+        np.testing.assert_array_equal(more.base, ds.base)  # the stores' data
         queries = more.queries
-        store = IndexStore(apd_store_root)
-        meta = store.load_metadata()
-        routes = store.load_segmenter().route(queries, spill=meta.spill)
-        probes = np.bincount(np.concatenate(routes), minlength=meta.n_segments)
-        assert probes.min() >= graph._BATCH_MIN, probes  # per partition, in every shard
-        res = query_index(spark, apd_store_root, queries, 10, ef=100).toPandas()
-        broker = Broker(store, ef=100)
-        for q in range(len(queries)):
-            ids, dists = broker.search(queries[q], 10)
-            offline = res[res.query_id == q].sort_values("rank")
-            np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
-            np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)
+        for root, ef in [(apd_store_root, 100), (dup_store_root, 10)]:
+            store = IndexStore(root)
+            meta = store.load_metadata()
+            routes = store.load_segmenter().route(queries, spill=meta.spill)
+            probes = np.bincount(np.concatenate(routes), minlength=meta.n_segments)
+            assert probes.min() >= graph._BATCH_MIN, probes  # per partition, in every shard
+            res = query_index(spark, root, queries, 10, ef=ef).toPandas()
+            broker = Broker(store, ef=ef)
+            for q in range(len(queries)):
+                ids, dists = broker.search(queries[q], 10)
+                offline = res[res.query_id == q].sort_values("rank")
+                np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
+                np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)
 
 
 class TestEmptyPartitions:
