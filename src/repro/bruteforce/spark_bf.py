@@ -24,6 +24,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.bruteforce.local import exact_topk
+from repro.spark_worker import drop_zip_importers
 
 PARTIAL_SCHEMA = "query_id long, neighbor_id long, dist double"
 RESULT_SCHEMA = "query_id long, neighbor_id long, dist double, rank int"
@@ -89,6 +90,7 @@ def spark_brute_force(
     bq = spark.sparkContext.broadcast(queries)
 
     def partial(batches):
+        drop_zip_importers()
         q = bq.value
         for pdf in batches:
             if pdf.empty:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from dataclasses import asdict, dataclass
 
 from repro.hnsw.graph import HNSWIndex
@@ -44,11 +45,12 @@ class IndexMetadata:
 
 
 class IndexStore:
-    """Filesystem layout + (de)serialization for one LANNS index."""
+    """Filesystem layout + (de)serialization for one LANNS index. Only the
+    writes create directories: reading a missing store raises
+    ``FileNotFoundError`` and leaves no trace."""
 
     def __init__(self, root: str) -> None:
         self.root = root
-        os.makedirs(root, exist_ok=True)
 
     # ------------------------------------------------------------ metadata
     @property
@@ -56,6 +58,7 @@ class IndexStore:
         return os.path.join(self.root, "metadata.json")
 
     def save_metadata(self, meta: IndexMetadata) -> None:
+        os.makedirs(self.root, exist_ok=True)
         with open(self.metadata_path, "w") as f:
             json.dump(asdict(meta), f, indent=2)
 
@@ -69,6 +72,7 @@ class IndexStore:
         return os.path.join(self.root, "segmenter.bin")
 
     def save_segmenter(self, segmenter: Segmenter) -> None:
+        os.makedirs(self.root, exist_ok=True)
         with open(self.segmenter_path, "wb") as f:
             f.write(segmenter.to_bytes())
 
@@ -83,13 +87,19 @@ class IndexStore:
         )
 
     def write_index_bytes(self, shard_id: int, segment_id: int, blob: bytes) -> str:
-        """Executor-side write of one serialized (shard, segment) index."""
+        """Executor-side write of one serialized (shard, segment) index.
+        Each attempt writes its own temp file, so a retried or speculative
+        attempt that overlaps another cannot truncate or steal its file."""
         path = self.index_path(shard_id, segment_id)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)  # atomic: readers never see partial writes
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "xb") as f:
+                f.write(blob)
+            os.replace(tmp, path)  # atomic: readers never see partial writes
+        finally:
+            if os.path.exists(tmp):  # a failed attempt leaves no temp file
+                os.remove(tmp)
         return path
 
     def read_index(self, shard_id: int, segment_id: int) -> HNSWIndex:
@@ -98,6 +108,8 @@ class IndexStore:
 
     def list_partitions(self) -> list[tuple[int, int]]:
         """All (shard_id, segment_id) pairs present on disk, sorted."""
+        if not os.path.isdir(self.root):
+            return []
         out = []
         for d in sorted(os.listdir(self.root)):
             if not d.startswith("shard="):

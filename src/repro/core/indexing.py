@@ -32,6 +32,7 @@ from repro.core.partitioner import (
 )
 from repro.hnsw.graph import HNSWIndex
 from repro.segmenters.base import Segmenter, validate_spill
+from repro.spark_worker import drop_zip_importers
 
 BUILD_SUMMARY_SCHEMA = (
     "shard_id long, segment_id long, n_items long, path string, build_seconds double"
@@ -74,6 +75,7 @@ def build_index(
 
     def build_bucket(batches):
         """Task b builds every (shard, segment) of bucket b, empty or not."""
+        drop_zip_importers()
         b = TaskContext.get().partitionId()
         pdfs = list(batches)
         groups = dict(iter(pd.concat(pdfs).groupby(["shard_id", "segment_id"]))) if pdfs else {}

@@ -23,6 +23,7 @@ from pyspark.sql import functions as F
 
 from repro.segmenters.base import Segmenter, mix64
 from repro.segmenters.learning import segmenter_from_bytes
+from repro.spark_worker import drop_zip_importers
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
 
@@ -77,6 +78,7 @@ def tag_partitions(
     bseg = spark.sparkContext.broadcast(blob)
 
     def tag(batches):
+        drop_zip_importers()
         seg = segmenter_from_bytes(bseg.value)
         for pdf in batches:
             if pdf.empty:
@@ -133,6 +135,7 @@ def route_queries(
     bseg = spark.sparkContext.broadcast(blob)
 
     def route(batches):
+        drop_zip_importers()
         seg = segmenter_from_bytes(bseg.value)
         for pdf in batches:
             if pdf.empty:

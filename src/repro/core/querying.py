@@ -39,6 +39,7 @@ from repro.core.partitioner import bucket_of, executor_count, route_probes
 from repro.core.search import check_queries, search_probes
 from repro.core.topk import per_shard_topk
 from repro.segmenters.learning import segmenter_from_bytes
+from repro.spark_worker import drop_zip_importers
 from repro.synth_data import vectors_to_df
 
 PARTIAL_SCHEMA = (
@@ -89,6 +90,7 @@ def query_index(
         bq = sc.broadcast(block)
 
         def search_buckets(batches):
+            drop_zip_importers()
             q = bq.value
             rows, shards, segs = route_probes(
                 segmenter_from_bytes(bseg.value), q, meta.n_shards, spill=meta.spill

@@ -38,8 +38,11 @@ class TestMetadata:
         assert os.path.exists(os.path.join(store.root, "metadata.json"))
 
     def test_missing_metadata_raises(self, store):
-        with pytest.raises(FileNotFoundError):
-            store.load_metadata()
+        """Reading a store that is not there does not create it."""
+        for read in (store.load_metadata, store.load_segmenter):
+            with pytest.raises(FileNotFoundError):
+                read()
+        assert not os.path.exists(store.root)
 
 
 class TestSegmenterPersistence:
@@ -81,6 +84,26 @@ class TestIndexFiles:
         files = os.listdir(os.path.join(store.root, "shard=0"))
         assert all(not f.endswith(".tmp") for f in files)
 
+    def test_overlapping_attempts_both_complete(self, store, monkeypatch):
+        """A second attempt at the same partition that writes and renames
+        while the first is about to rename: both complete, and the file holds
+        the blob whole (a retried or speculative task)."""
+        blob = self._make_index().to_bytes()
+        replace = os.replace
+        pending = [lambda: store.write_index_bytes(0, 0, blob)]
+
+        def racing_replace(src, dst):
+            if pending:
+                pending.pop()()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        assert store.write_index_bytes(0, 0, blob) == store.index_path(0, 0)
+        assert not pending
+        with open(store.index_path(0, 0), "rb") as f:
+            assert f.read() == blob
+        assert os.listdir(os.path.join(store.root, "shard=0")) == ["segment=0.hnsw"]
+
     def test_overwrite_replaces(self, store):
         store.write_index_bytes(0, 0, b"aaa")
         store.write_index_bytes(0, 0, b"bb")
@@ -94,10 +117,12 @@ class TestIndexFiles:
 
     def test_list_partitions_empty(self, store):
         assert store.list_partitions() == []
+        assert not os.path.exists(store.root)
 
     def test_read_missing_raises(self, store):
         with pytest.raises(FileNotFoundError):
             store.read_index(5, 5)
+        assert not os.path.exists(store.root)
 
     def test_truncated_partition_is_refused(self, store):
         blob = self._make_index().to_bytes()
@@ -184,6 +209,7 @@ class TestNoPickle:
 
         blob = pickle.dumps(Payload())
         if target == "segmenter.bin":
+            os.makedirs(store.root, exist_ok=True)  # only the store's own writes create it
             with open(store.segmenter_path, "wb") as f:
                 f.write(blob)
             with pytest.raises(ValueError):

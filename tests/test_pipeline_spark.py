@@ -380,3 +380,14 @@ class TestEmptyBuckets(TestEmptyPartitions):
     get no rows, and their tasks must still write the empty indexes."""
 
     n_executors = None
+
+
+def test_missing_store_raises_and_stays_missing(spark, ds, tmp_path):
+    """Both query paths refuse a store that is not there, and neither
+    creates its directory on the way."""
+    root = tmp_path / "absent" / "idx"
+    with pytest.raises(FileNotFoundError):
+        query_index(spark, str(root), ds.queries, 5)
+    with pytest.raises(FileNotFoundError):
+        Broker(IndexStore(str(root)))
+    assert not (tmp_path / "absent").exists()
