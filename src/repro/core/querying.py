@@ -57,7 +57,6 @@ def query_index(
     topk: int,
     *,
     ef: int | None = None,
-    confidence: float = 0.95,
     use_per_shard_topk: bool = True,
     n_executors: int | None = None,
     checkpoint_dir: str | None = None,
@@ -73,11 +72,7 @@ def query_index(
     meta = store.load_metadata()
     queries = np.ascontiguousarray(check_queries(queries, meta.dim, topk))
     n_exec = executor_count(n_executors, meta.n_shards * meta.n_segments)
-    pstk = (
-        per_shard_topk(topk, meta.n_shards, confidence)
-        if use_per_shard_topk
-        else topk
-    )
+    pstk = per_shard_topk(topk, meta.n_shards) if use_per_shard_topk else topk
     if checkpoint_dir is not None:  # Fig 7: query partitions persisted first
         checkpoint(vectors_to_df(spark, queries, id_col="query_id"), spark,
                    checkpoint_dir, "query-partitions")

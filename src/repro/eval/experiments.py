@@ -44,12 +44,12 @@ from repro.synth_data import (
 EXECUTORS = (2, 4, 8)
 RECALL_KS = (1, 5, 10, 15, 50, 100)
 # Fixed settings of the SIFT/GIST sweep (paper Sec 6.1): segmenter kinds,
-# top-K, spill band alpha, perShardTopK confidence and search ef. Every
-# runner builds its HNSW partitions with HNSW_M and EF_CONSTRUCTION.
+# top-K, spill band alpha and search ef; perShardTopK uses its one
+# confidence, 0.95. Every runner builds its HNSW partitions with HNSW_M and
+# EF_CONSTRUCTION.
 KINDS = ("RS", "RH", "APD")
 TOPK = 100
 ALPHA = 0.15
-CONFIDENCE = 0.95
 HNSW_M = 12
 EF_CONSTRUCTION = 100
 EF_SEARCH = 160
@@ -207,7 +207,7 @@ def run_lanns_experiment(
 
         out, query_s = timed_query(
             spark, root, dataset.queries, TOPK,
-            ef=EF_SEARCH, confidence=CONFIDENCE, n_executors=e,
+            ef=EF_SEARCH, n_executors=e,
         )
         res.query_ms[(method, e)] = query_s * 1000.0 / dataset.queries.shape[0]
         return out

@@ -4,29 +4,31 @@ This is the per-(shard, segment) index LANNS builds inside each Spark
 executor (paper Sec 3, Fig 2/6). The implementation follows the original
 paper's algorithms:
 
-- Alg 1 (INSERT): geometric level sampling with mL = 1/ln(M); greedy
-  descent through upper layers; ef_construction-bounded candidate search
-  and bidirectional linking with degree caps (M above layer 0, 2M at
-  layer 0) on the way down.
+- Alg 1 (INSERT): geometric level sampling with mL = 1/ln(M); Alg 2 at
+  ef=1 through the layers above the node's level, then at ef_construction
+  with bidirectional linking and degree caps (M above layer 0, 2M at
+  layer 0) on each layer below.
+- Alg 5 (K-NN-SEARCH): Alg 2 at ef=1 through every layer above 0, then at
+  the query's ef on layer 0.
 - Alg 2 (SEARCH-LAYER): best-first search over one result list of at most
   ef (distance, node) entries, kept sorted: each step expands the closest
   result not yet expanded and merges its unvisited neighbors in, and the
   search stops when every result is expanded.
 - Alg 2 in lockstep, for a search call with many queries (an offline
-  query's probes of one partition): every step expands, for every query
-  still searching, its closest result not yet expanded, so one gather of
-  neighbor rows (padded neighbor matrices with a sentinel node), one
-  visited-bitmap lookup, one distance product and one row sort serve them
-  all. Each query's result list is a sorted row of uint64 keys (float32
-  distance bits, node, "expanded" bit), so a query takes the same steps
-  and gets the same results as alone. Each distance comes from the same
-  BLAS routine as on the serial path, so it has the same bits.
+  query's probes of one partition), layer by layer: every step expands,
+  for every query still searching, its closest result not yet expanded, so
+  one gather of neighbor rows (padded neighbor matrices with a sentinel
+  node), one visited-bitmap lookup, one distance product and one row sort
+  serve them all. Each query's result list is a sorted row of uint64 keys
+  (float32 distance bits, node, "expanded" bit), so a query takes the same
+  steps and gets the same results as alone. Each distance comes from the
+  same BLAS routine as on the serial path, so it has the same bits.
 - Alg 4 (SELECT-NEIGHBORS-HEURISTIC): diversity-aware neighbor selection
   with keepPrunedConnections, which is what keeps recall high on the
   clustered data the LANNS segmenters produce.
 
-Ties: both paths order results by (distance, node), so they return
-bitwise-equal ids and distances, exact distance ties included.
+Ties: both paths order results by (distance, node) on every layer, so they
+return bitwise-equal ids and distances, exact distance ties included.
 
 Distances are computed internally as monotone surrogates (squared-L2
 offset by a per-query constant; negative inner product for cosine) and
@@ -178,7 +180,7 @@ class HNSWIndex:
 
         ``entry_points`` are (surrogate_dist, node) pairs; returns up to
         ``ef`` (surrogate_dist, node) pairs sorted ascending. This is
-        ``_layer0_batch``'s rule on one query: a key enters the results only
+        ``_layer_batch``'s rule on one query: a key enters the results only
         while they are fewer than ef or it sorts before the last.
         """
         links = self._links[level]
@@ -204,24 +206,6 @@ class HNSWIndex:
                     results.insert(j, key)
                     del results[ef:]
                     i = min(i, j)
-
-    def _greedy_descend(self, q: np.ndarray, node: int, level: int) -> tuple[float, int]:
-        """ef=1 greedy walk within one layer; returns (surrogate_dist, node)."""
-        links = self._links[level]
-        cur_d = float(self._surrogate(q, np.asarray([node], dtype=np.int64))[0])
-        improved = True
-        while improved:
-            improved = False
-            nbrs = links.get(node, ())
-            if not nbrs:
-                break
-            nd = self._surrogate(q, np.asarray(nbrs, dtype=np.int64))
-            j = int(np.argmin(nd))
-            if nd[j] < cur_d:
-                cur_d = float(nd[j])
-                node = nbrs[j]
-                improved = True
-        return cur_d, node
 
     def _select_heuristic(
         self, base: np.ndarray, candidates: list[tuple[float, int]], m: int
@@ -309,19 +293,13 @@ class HNSWIndex:
         if self._entry < 0:
             self._entry = node
             return
+        # Alg 1: Alg 2 at ef=1 down to `level`, then at ef_construction and
+        # linking at each layer below. Layers above old_top hold only `node`.
         ep = self._entry
-        ep_d = float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0])
-        # Phase 1: greedy descent through pre-existing layers above `level`.
-        for lc in range(old_top, level, -1):
-            ep_d, ep = self._greedy_descend(q, ep, lc)
-        # Phase 2: connect at each pre-existing layer from min(level, old_top)
-        # down to 0. Layers above old_top contain only `node` itself.
-        eps = [(ep_d, ep)]
-        for lc in range(min(level, old_top), -1, -1):
-            w = self._search_layer(q, eps, self.ef_construction, lc)
-            w = [(d, n) for d, n in w if n != node]
-            if not w:
-                eps = [(ep_d, ep)]
+        w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
+        for lc in range(old_top, -1, -1):
+            w = self._search_layer(q, w, self.ef_construction if lc <= level else 1, lc)
+            if lc > level:
                 continue
             m_cap = self.M0 if lc == 0 else self.M
             neighbors = self._select_heuristic(q, w, self.M)
@@ -334,7 +312,6 @@ class HNSWIndex:
                     nd = self._surrogate(self._data[n], np.asarray(lst, dtype=np.int64))
                     cand = sorted(zip(nd.tolist(), lst))
                     layer[n] = self._select_heuristic(self._data[n], cand, m_cap)
-            eps = w
         # A new topmost layer makes this node the global entry point.
         if level > old_top:
             self._entry = node
@@ -387,15 +364,16 @@ class HNSWIndex:
     def _search_one(
         self, q: np.ndarray, ef: int, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy descent, then Alg 2 at layer 0, for one prepped query.
+        """Alg 5 for one prepped query: Alg 2 at ef=1 on every layer above 0,
+        then at ``ef`` on layer 0.
 
         Returns up to ``k`` (nodes, surrogate dists) ascending.
         """
         ep = self._entry
-        ep_d = float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0])
-        for lc in range(self.max_level, 0, -1):
-            ep_d, ep = self._greedy_descend(q, ep, lc)
-        res = self._search_layer(q, [(ep_d, ep)], ef, 0)[:k]
+        w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
+        for lc in range(self.max_level, -1, -1):
+            w = self._search_layer(q, w, ef if lc == 0 else 1, lc)
+        res = w[:k]
         nodes = np.asarray([n for _, n in res], dtype=np.int64)
         return nodes, np.asarray([d for d, _ in res], dtype=np.float32)
 
@@ -415,9 +393,12 @@ class HNSWIndex:
             q = Q[lo : lo + chunk]
             ep = np.full(q.shape[0], self._entry, dtype=np.int64)
             ep_d = self._batch_surrogate(data, sq_norms, q, ep[:, None])[:, 0]
-            for lc in range(self.max_level, 0, -1):
-                ep_d = self._greedy_batch(data, sq_norms, q, ep, links[lc])
-            for row in self._layer0_batch(data, sq_norms, q, ep, ep_d, links[0], ef):
+            for lc in range(self.max_level, -1, -1):
+                keys = self._layer_batch(
+                    data, sq_norms, q, ep, ep_d, links[lc], ef if lc == 0 else 1
+                )
+                ep, ep_d = _key_node(keys[:, 0]), _key_dist(keys[:, 0])
+            for row in keys:
                 row = row[row != _EMPTY][:k]
                 yield _key_node(row), _key_dist(row)
 
@@ -459,35 +440,7 @@ class HNSWIndex:
             return -dot
         return sq_norms[nb] - 2.0 * dot
 
-    def _greedy_batch(
-        self,
-        data: np.ndarray,
-        sq_norms: np.ndarray,
-        Q: np.ndarray,
-        ep: np.ndarray,
-        links: np.ndarray,
-    ) -> np.ndarray:
-        """``_greedy_descend`` for every row of ``Q`` from node ``ep[b]``:
-        moves ``ep`` in place and returns the surrogate distances to it."""
-        # Like _greedy_descend, start from a one-node product: its bits may
-        # differ from those the node got among its neighbors one layer up.
-        ep_d = self._batch_surrogate(data, sq_norms, Q, ep[:, None])[:, 0]
-        act = np.arange(Q.shape[0])  # rows still improving
-        while act.size:
-            nb = links[ep[act]]
-            real = nb != self.n_items
-            one = (real.sum(axis=1) == 1).nonzero()[0]  # its neighbor is in column 0
-            d = self._batch_surrogate(data, sq_norms, Q[act], nb, (one, np.zeros_like(one)))
-            d[~real] = np.inf
-            j = d.argmin(axis=1)
-            dj = d[np.arange(act.size), j]
-            better = (dj < ep_d[act]).nonzero()[0]
-            act = act[better]
-            ep[act] = nb[better, j[better]]
-            ep_d[act] = dj[better]
-        return ep_d
-
-    def _layer0_batch(
+    def _layer_batch(
         self,
         data: np.ndarray,
         sq_norms: np.ndarray,
@@ -497,7 +450,7 @@ class HNSWIndex:
         links: np.ndarray,
         ef: int,
     ) -> np.ndarray:
-        """``_search_layer`` at layer 0 for every row of ``Q``, in lockstep.
+        """``_search_layer`` in one layer for every row of ``Q``, in lockstep.
 
         Each step expands, in every row still searching, its closest result
         not yet expanded. Returns the (rows, ef) result keys, sorted per row,

@@ -32,12 +32,10 @@ class Broker:
         store: IndexStore,
         *,
         ef: int | None = None,
-        confidence: float = 0.95,
         use_per_shard_topk: bool = True,
     ):
         self.meta = store.load_metadata()
         self.segmenter = store.load_segmenter()
-        self.confidence = confidence
         self.use_per_shard_topk = use_per_shard_topk
         self.searchers = [
             Searcher(store, s, ef=ef) for s in range(self.meta.n_shards)
@@ -52,11 +50,7 @@ class Broker:
         if np.ndim(query) != 1:
             raise ValueError(f"expected one query vector, got shape {np.shape(query)}")
         query = check_queries(np.reshape(query, (1, -1)), self.meta.dim, topk)[0]
-        pstk = (
-            per_shard_topk(topk, self.meta.n_shards, self.confidence)
-            if self.use_per_shard_topk
-            else topk
-        )
+        pstk = per_shard_topk(topk, self.meta.n_shards) if self.use_per_shard_topk else topk
         # Broker-side routing, fan-out + final merge.
         segs = self.segmenter.route(query[None], spill=self.meta.spill)[0]
         ids, dists = zip(*(s.search(query, segs, pstk) for s in self.searchers))

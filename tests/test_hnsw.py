@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import npz
 from repro.bruteforce.local import exact_topk
 from repro.hnsw import graph
 from repro.hnsw.graph import HNSWIndex
@@ -197,6 +198,24 @@ class TestSearch:
         assert np.all(dists == 0)
         assert len(set(ids[0].tolist())) == 5
 
+    def test_upper_layer_tie_breaks_by_node(self):
+        """Upper layers break an exact tie by (distance, node), as layer 0
+        does. Nodes a=0 and b=1 lie at distance 1 from q, and the entry e=2
+        at distance 3 lists them as [b, a] at layer 1. Each is the other's
+        only rival and a local minimum at layer 0, so the layer-1 choice is
+        the answer; a walk that kept list order would return b."""
+        blob = npz.pack({
+            "scalars": np.array([2, 2, 10, 0, 2]),  # dim, M, ef_construction, seed, entry
+            "metric": np.array("l2"),
+            "data": np.array([[1, 0], [-1, 0], [0, 3]], np.float32),
+            "ids": np.arange(3),
+            "levels": np.ones(3, np.uint8),
+            "degree": np.array([1, 1, 2, 1, 1, 2], np.uint8),  # layer 0, then layer 1
+            "neighbors": np.array([2, 2, 0, 1, 2, 2, 1, 0], np.uint8),
+        })
+        ids, dists = _both_paths(HNSWIndex.from_bytes(blob), np.zeros(2, np.float32), 1, ef=1)
+        assert ids.tolist() == [[0]] and dists.tolist() == [[1.0]]
+
     def test_external_ids_not_row_indices(self):
         g = np.random.default_rng(4)
         base = g.normal(size=(50, 6)).astype(np.float32)
@@ -217,13 +236,14 @@ class TestLockstep:
         assert queries.shape[0] >= graph._BATCH_MIN
         whole = small_index.search(queries, 10, ef=60)
         calls = []
-        layer0 = HNSWIndex._layer0_batch
+        layer_batch = HNSWIndex._layer_batch
 
         def counted(self, *args):
-            calls.append(args[2].shape[0])  # rows of Q in this chunk
-            return layer0(self, *args)
+            if args[-1] == 60:  # the layer-0 search; upper layers run at ef=1
+                calls.append(args[2].shape[0])  # rows of Q in this chunk
+            return layer_batch(self, *args)
 
-        monkeypatch.setattr(HNSWIndex, "_layer0_batch", counted)
+        monkeypatch.setattr(HNSWIndex, "_layer_batch", counted)
         monkeypatch.setattr(graph, "_VISITED_BYTES", 3 * (small_index.n_items + 1))
         chunked = small_index.search(queries, 10, ef=60)
         assert calls == [3] * 33 + [1]
