@@ -21,7 +21,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.bruteforce.local import exact_topk
 from repro.spark_worker import drop_zip_importers
@@ -33,7 +32,8 @@ RESULT_SCHEMA = "query_id long, neighbor_id long, dist double, rank int"
 def merge_topk(
     partials: DataFrame, k: int, *, by: tuple[str, ...] = ("query_id",)
 ) -> DataFrame:
-    """Keep the best ``k`` candidates per group of ``by`` columns.
+    """Keep the best ``k`` candidates per group of ``by`` columns; returns
+    (*by, neighbor_id, dist, rank).
 
     Ordering is (dist, neighbor_id) — the neighbor-id tiebreak makes the
     result deterministic so the DuckDB oracle can verify it exactly.
@@ -48,14 +48,17 @@ def rank_topk(
     candidates: DataFrame, k: int, *, by: tuple[str, ...] = ("query_id",)
 ) -> DataFrame:
     """``merge_topk`` without the dedup, for candidates that hold each
-    neighbor at most once per group: the window alone ranks them."""
-    w = Window.partitionBy(*[F.col(c) for c in by]).orderBy(
-        F.col("dist").asc(), F.col("neighbor_id").asc()
-    )
-    return (
-        candidates.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-    )
+    neighbor at most once per group: the window alone ranks them. Other
+    columns of ``candidates`` are left out.
+
+    One SQL projection and one filter, because Spark analyses each
+    DataFrame as it is made: every further step costs the driver time.
+    """
+    keys = ", ".join(by)
+    return candidates.selectExpr(
+        *by, "neighbor_id", "dist",
+        f"row_number() over (partition by {keys} order by dist, neighbor_id) as rank",
+    ).where(f"rank <= {int(k)}")
 
 
 def checkpoint(df: DataFrame, spark: SparkSession, root: str, stage: str) -> DataFrame:

@@ -115,11 +115,12 @@ def query_index(
     partials = partials.repartition(n_exec, "query_id")  # the one exchange
 
     # Level 1: segment merge within (query, shard) — keeps perShardTopK.
-    shard_results = merge_topk(partials, pstk, by=("query_id", "shard_id")).drop("rank")
+    shard_results = merge_topk(partials, pstk, by=("query_id", "shard_id"))
     if checkpoint_dir is not None:
         shard_results = checkpoint(shard_results, spark, checkpoint_dir, "shard-results")
 
     # Level 2: shard merge per query — the broker-side final topK. shard_of
     # puts each neighbor in one shard, so level 1 left it at most once per
-    # query: the window alone ranks.
-    return rank_topk(shard_results.drop("shard_id"), topk, by=("query_id",))
+    # query: the window alone ranks. It keeps query_id, neighbor_id and dist,
+    # so level 1's shard_id and rank fall away.
+    return rank_topk(shard_results, topk, by=("query_id",))

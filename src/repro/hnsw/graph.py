@@ -18,14 +18,29 @@ paper's algorithms:
   query's probes of one partition), layer by layer: every step expands,
   for every query still searching, its closest result not yet expanded, so
   one gather of neighbor rows (padded neighbor matrices with a sentinel
-  node), one visited-bitmap lookup, one distance product and one row sort
-  serve them all. Each query's result list is a sorted row of uint64 keys
-  (float32 distance bits, node, "expanded" bit), so a query takes the same
-  steps and gets the same results as alone. Each distance comes from the
-  same BLAS routine as on the serial path, so it has the same bits.
+  node), one visited-bitmap lookup, one distance lookup or product and one
+  row sort serve them all. Each query's result list is a sorted row of
+  uint64 keys (float32 distance bits, node, "expanded" bit), so a query
+  takes the same steps and gets the same results as alone.
+- A distance table per query, on both paths, when the graph is small next
+  to the search (``_use_table``): one matrix-vector product gives the
+  query's surrogate to every node, and each expansion looks its fresh
+  neighbors up instead of gathering and multiplying their rows. On a
+  ~250-node segment at ef = 100, Alg 2 visits most of the graph anyway.
 - Alg 4 (SELECT-NEIGHBORS-HEURISTIC): diversity-aware neighbor selection
   with keepPrunedConnections, which is what keeps recall high on the
   clustered data the LANNS segmenters produce.
+
+Float bits: BLAS gives a row of a matrix-vector product of two or more rows
+the same bits, whichever rows are stacked, but takes another path (a dot
+product) for a single row. Without a table, fresh neighbors get one product
+of their gathered rows, so a single fresh neighbor gets a dot product. The
+serial table holds each node's distance both ways (one matrix-vector
+product, and one stacked product of single rows), and an expansion reads
+the one its count of fresh neighbors calls for. The lockstep table holds
+the first; a single fresh neighbor gets a one-row product there, and the
+entry point does on both paths. Every distance then has the bits the walk
+without a table gives it.
 
 Ties: both paths order results by (distance, node) on every layer, so they
 return bitwise-equal ids and distances, exact distance ties included.
@@ -49,18 +64,33 @@ from repro.hnsw.distance import normalize_rows, validate_metric
 
 # A search() call with at least this many queries searches them in lockstep;
 # fewer go one at a time, the path insertion uses. Lockstep speed relative
-# to serial (M=12, one BLAS thread), at 16 / 32 / 48 / 64 queries and at a
-# partition's full batch: sift_like (n=550, d=32, ef=160) 0.97 / 1.69 / 2.04
-# / 2.42, 3.9 at 450; pymk_like (n=1971, d=16, ef=200) 1.07 / 1.82 / 2.25 /
-# 2.74, 3.4 at 197; groups_like (n=5076, d=64, ef=200) 1.05 / 1.61 / 2.16 /
-# 2.17, 3.4 at 564; neardupe_like (n=8000, d=256, ef=200) 0.54 / 0.82 / 1.03
-# / 1.21, 1.8 at 400. A call also pays O(n) to build the padded neighbor
-# matrices, so the crossover grows with the partition; at 64 lockstep won on
-# all four.
+# to serial (M=12, ef_construction=100, one BLAS thread; the median of three
+# runs on 4 shared vCPUs), at 16 / 32 / 48 / 64 queries and at a full batch.
+# Inside the distance-table rule: sift_like (n=550, d=32, ef=160) 0.61 /
+# 1.00 / 1.25 / 1.48, 2.4 at 450; pymk_like (n=1971, d=16, ef=200) 0.66 /
+# 1.11 / 1.40 / 1.59, 1.9 at 197; groups_like (n=250, d=64, ef=100) 0.52 /
+# 0.89 / 1.15 / 1.32, 2.5 at 400. Outside it: groups_like (n=5076, d=64,
+# ef=200) 1.15 / 1.81 / 2.20 / 2.52, 3.4 at 400; neardupe_like (n=8000,
+# d=256, ef=200) 0.54 / 0.86 / 1.08 / 1.10, 1.5 at 400. The table speeds the
+# serial path up more than the lockstep, so on small graphs the crossover is
+# now about 32 queries (sift_like at 64: 2.42 without the table); a call also
+# pays O(n) to build the padded neighbor matrices. At 64 lockstep won on all
+# five.
 _BATCH_MIN = 64
-# Byte budget of the lockstep search's visited bitmaps (one bool per query
-# and node): a batch is searched in chunks of queries that fit it.
+# Byte budget of the lockstep search's tables per query and node: a visited
+# bitmap (one bool), plus with the distance table one uint64 key. A batch is
+# searched in chunks of queries that fit it.
 _VISITED_BYTES = 32 << 20
+
+
+def _use_table(n: int, ef: int, m0: int) -> bool:
+    """Whether a search at ``ef`` over ``n`` nodes of layer-0 degree cap
+    ``m0`` first computes the query's distance to every node: when n + 1 is
+    at most ef * m0, the most distances one layer-0 walk can compute. Off it
+    (e.g. n=8000 at d=256, or n=20000 at d=32, both at ef=160 and M=12), the
+    one product over every node costs more than the walk's products."""
+    return n + 1 <= ef * m0
+
 
 # Lockstep result keys (uint64): the order-preserving bits of the float32
 # surrogate distance in the high half, node << 1 in the low half, and the
@@ -166,6 +196,19 @@ class HNSWIndex:
             return -(v @ q)
         return self._sq_norms[nodes] - 2.0 * (v @ q)
 
+    def _table(self, q: np.ndarray, n: int, ef: int) -> tuple[list[float], list[float]] | None:
+        """``_surrogate`` from prepped ``q`` to nodes 0..n-1, or None when
+        ``_use_table`` says the walk computes fewer distances. Two lists, as
+        ``_surrogate`` gives a node's distance in a product of two or more
+        rows (one matrix-vector product) and alone (one dot product per row)."""
+        if not _use_table(n, ef, self.M0):
+            return None
+        data = self._data[:n]
+        dots = (data @ q, (data[:, None, :] @ q[:, None])[:, 0, 0])
+        if self.metric == "cosine":
+            return tuple((-dot).tolist() for dot in dots)
+        return tuple((self._sq_norms[:n] - 2.0 * dot).tolist() for dot in dots)
+
     def _true_dist(self, q_raw: np.ndarray, surrogate: np.ndarray) -> np.ndarray:
         """Convert surrogate distances back to the metric's true values."""
         if self.metric == "cosine":
@@ -174,14 +217,21 @@ class HNSWIndex:
         return np.sqrt(np.maximum(surrogate + qq, 0.0)).astype(np.float32)
 
     def _search_layer(
-        self, q: np.ndarray, entry_points: list[tuple[float, int]], ef: int, level: int
+        self,
+        q: np.ndarray,
+        entry_points: list[tuple[float, int]],
+        ef: int,
+        level: int,
+        table: tuple[list[float], list[float]] | None,
     ) -> list[tuple[float, int]]:
         """Alg 2: ef-bounded best-first search in one layer.
 
         ``entry_points`` are (surrogate_dist, node) pairs; returns up to
         ``ef`` (surrogate_dist, node) pairs sorted ascending. This is
         ``_layer_batch``'s rule on one query: a key enters the results only
-        while they are fewer than ef or it sorts before the last.
+        while they are fewer than ef or it sorts before the last. Fresh
+        neighbors read their distances from ``table`` (from ``_table``) when
+        there is one.
         """
         links = self._links[level]
         visited = {n for _, n in entry_points}
@@ -199,13 +249,18 @@ class HNSWIndex:
             if not fresh:
                 continue
             visited.update(fresh)
-            nd = self._surrogate(q, np.asarray(fresh, dtype=np.int64))
-            for key in zip(nd.tolist(), fresh):
+            if table is None:
+                nd = self._surrogate(q, np.asarray(fresh, dtype=np.int64)).tolist()
+            else:
+                nd = map((table[1] if len(fresh) == 1 else table[0]).__getitem__, fresh)
+            for key in zip(nd, fresh):
                 if len(results) < ef or key < results[-1]:
                     j = bisect(results, key)
                     results.insert(j, key)
-                    del results[ef:]
-                    i = min(i, j)
+                    if len(results) > ef:
+                        results.pop()
+                    if j < i:
+                        i = j
 
     def _select_heuristic(
         self, base: np.ndarray, candidates: list[tuple[float, int]], m: int
@@ -297,8 +352,9 @@ class HNSWIndex:
         # linking at each layer below. Layers above old_top hold only `node`.
         ep = self._entry
         w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
+        table = self._table(q, node, self.ef_construction)  # the nodes inserted so far
         for lc in range(old_top, -1, -1):
-            w = self._search_layer(q, w, self.ef_construction if lc <= level else 1, lc)
+            w = self._search_layer(q, w, self.ef_construction if lc <= level else 1, lc, table)
             if lc > level:
                 continue
             m_cap = self.M0 if lc == 0 else self.M
@@ -371,8 +427,9 @@ class HNSWIndex:
         """
         ep = self._entry
         w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
+        table = self._table(q, self.n_items, ef)
         for lc in range(self.max_level, -1, -1):
-            w = self._search_layer(q, w, ef if lc == 0 else 1, lc)
+            w = self._search_layer(q, w, ef if lc == 0 else 1, lc, table)
         res = w[:k]
         nodes = np.asarray([n for _, n in res], dtype=np.int64)
         return nodes, np.asarray([d for d, _ in res], dtype=np.float32)
@@ -388,14 +445,20 @@ class HNSWIndex:
         links = self._padded_links()
         data = np.vstack([self._data, np.zeros((1, self.dim), np.float32)])
         sq_norms = np.append(self._sq_norms, np.float32(0.0))
-        chunk = max(1, _VISITED_BYTES // (n + 1))
+        use_table = _use_table(n, ef, self.M0)
+        chunk = max(1, _VISITED_BYTES // ((n + 1) * (9 if use_table else 1)))
         for lo in range(0, Q.shape[0], chunk):
             q = Q[lo : lo + chunk]
             ep = np.full(q.shape[0], self._entry, dtype=np.int64)
             ep_d = self._batch_surrogate(data, sq_norms, q, ep[:, None])[:, 0]
+            table = None
+            if use_table:  # one matrix-vector product per row, as in _table
+                dot = (data[None] @ q[:, :, None])[:, :, 0]
+                sur = -dot if self.metric == "cosine" else sq_norms - 2.0 * dot
+                table = _make_keys(sur, np.arange(n + 1)).ravel()
             for lc in range(self.max_level, -1, -1):
                 keys = self._layer_batch(
-                    data, sq_norms, q, ep, ep_d, links[lc], ef if lc == 0 else 1
+                    data, sq_norms, q, ep, ep_d, links[lc], table, ef if lc == 0 else 1
                 )
                 ep, ep_d = _key_node(keys[:, 0]), _key_dist(keys[:, 0])
             for row in keys:
@@ -418,24 +481,12 @@ class HNSWIndex:
         return out
 
     def _batch_surrogate(
-        self,
-        data: np.ndarray,
-        sq_norms: np.ndarray,
-        Q: np.ndarray,
-        nb: np.ndarray,
-        single: tuple[np.ndarray, np.ndarray] | None = None,
+        self, data: np.ndarray, sq_norms: np.ndarray, Q: np.ndarray, nb: np.ndarray
     ) -> np.ndarray:
-        """``_surrogate`` from row b of ``Q`` to the nodes ``nb[b]``, bitwise.
-
-        BLAS gives a product the same bits in a matrix-vector product of any
-        two or more rows, but takes another path (a dot product) for a single
-        row. ``single`` = (rows, cols) marks the entries ``_surrogate`` gets as
-        a single row; they are recomputed that way.
-        """
+        """``_surrogate`` from row b of ``Q`` to the nodes ``nb[b]``: one
+        stacked product, so each row of two or more nodes is a matrix-vector
+        product and a row of one node a dot product, as on the serial path."""
         dot = (data[nb] @ Q[:, :, None])[:, :, 0]
-        if single is not None and single[0].size:
-            r, c = single
-            dot[r, c] = (data[nb[r, c]][:, None, :] @ Q[r][:, :, None])[:, 0, 0]
         if self.metric == "cosine":
             return -dot
         return sq_norms[nb] - 2.0 * dot
@@ -448,12 +499,15 @@ class HNSWIndex:
         ep: np.ndarray,
         ep_d: np.ndarray,
         links: np.ndarray,
+        table: np.ndarray | None,
         ef: int,
     ) -> np.ndarray:
         """``_search_layer`` in one layer for every row of ``Q``, in lockstep.
 
         Each step expands, in every row still searching, its closest result
-        not yet expanded. Returns the (rows, ef) result keys, sorted per row,
+        not yet expanded. ``table``, when given, holds the unexpanded key of
+        row b and node i at flat index b * (n + 1) + i, as the visited
+        bitmap does. Returns the (rows, ef) result keys, sorted per row,
         with ``_EMPTY`` in unused slots.
         """
         n = self.n_items
@@ -462,6 +516,7 @@ class HNSWIndex:
         visited = np.zeros((Q.shape[0], n + 1), dtype=bool)
         visited[:, n] = True  # the sentinel is never fresh
         visited[np.arange(Q.shape[0]), ep] = True
+        visited = visited.ravel()
         out = np.empty_like(keys)
         rid = np.arange(Q.shape[0])  # rows still searching
         while True:
@@ -477,14 +532,23 @@ class HNSWIndex:
             expanded = keys[r, j] | _ONE
             keys[r, j] = expanded
             nb = links[_key_node(expanded)]
-            fresh = ~visited[rid[:, None], nb]
-            visited[rid[:, None], nb] = True
+            flat = rid[:, None] * (n + 1) + nb
+            fresh = ~visited[flat]
+            visited[flat] = True
             n_fresh = fresh.sum(axis=1)
             g = n_fresh.nonzero()[0]  # rows with fresh neighbors
             nb, fresh = nb[g], fresh[g]
-            one = (n_fresh[g] == 1).nonzero()[0]
-            d = self._batch_surrogate(data, sq_norms, Q[g], nb, (one, fresh[one].argmax(axis=1)))
-            new = np.where(fresh, _make_keys(d, nb), _EMPTY)
+            if table is None:
+                new = _make_keys(self._batch_surrogate(data, sq_norms, Q[g], nb), nb)
+            else:
+                new = table[flat[g]]
+            new = np.where(fresh, new, _EMPTY)
+            one = (n_fresh[g] == 1).nonzero()[0]  # a single fresh node: a dot product
+            if one.size:
+                c = fresh[one].argmax(axis=1)
+                nb1 = nb[one, c]
+                d1 = self._batch_surrogate(data, sq_norms, Q[g[one]], nb1[:, None])[:, 0]
+                new[one, c] = _make_keys(d1, nb1)
             e = (new.min(axis=1) < keys[g, -1]).nonzero()[0]  # rows whose results change
             g = g[e]
             merged = np.concatenate([keys[g], new[e]], axis=1)

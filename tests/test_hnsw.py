@@ -251,6 +251,37 @@ class TestLockstep:
         np.testing.assert_array_equal(chunked[1], whole[1])
 
 
+class TestDistanceTable:
+    """A search that reads its distances from the per-query table gives the
+    bits of one that computes them along the walk, on both paths."""
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    @pytest.mark.parametrize("repeat", [1, 5, 20])
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_table_and_walk_give_the_same_bits(self, metric, repeat, n):
+        """M=6 puts the rule at ef * 12 nodes: searched at ef=10 the graph of
+        100 is inside it and that of 500 outside; built at ef_construction=30
+        the graph of 500 leaves it at node 359. Rows repeat ``repeat`` times
+        and half the queries are stored rows, so exact ties are common."""
+        g = np.random.default_rng(n + repeat)
+        rows = g.normal(size=(-(-n // repeat), 8)).astype(np.float32)
+        base = np.repeat(rows, repeat, axis=0)[:n]
+        ids = g.permutation(10 * n)[:n]
+        queries = np.vstack([base[:40], g.normal(size=(40, 8)).astype(np.float32)])
+        results, blobs = [], []
+        for rule in (lambda *a: True, lambda *a: False, graph._use_table):
+            with mock.patch.object(graph, "_use_table", rule):
+                idx = HNSWIndex(8, M=6, ef_construction=30, metric=metric, seed=3)
+                idx.add_items(base, ids)
+                blobs.append(idx.to_bytes())
+                results.append(_both_paths(idx, queries, 10, ef=10))
+        assert blobs[0] == blobs[1] == blobs[2]
+        for got in results[1:]:
+            for a, b in zip(results[0], got):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(0, 300),
