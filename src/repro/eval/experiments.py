@@ -268,9 +268,10 @@ def run_groups_spill(
 
     spill% is the fraction of boundary traffic routed/duplicated both
     ways at each level — the paper's '30% spill' is α=0.15 (0.5±α band).
-    The QPS is a single-threaded in-process broker measurement; the
-    paper's absolute QPS came from production searchers, so only the
-    *relative* QPS across configurations is comparable.
+    The QPS is one client's closed loop against a ``Broker`` on this host
+    (Table 7's stores have one shard, so the Broker searches it in this
+    process); the paper's absolute QPS came from production searchers,
+    so only the *relative* QPS across configurations is comparable.
     """
     ds = groups_like(
         n=max(2000, int(12_000 * scale)), n_queries=max(100, int(500 * scale))
@@ -284,9 +285,9 @@ def run_groups_spill(
     def measure(store_root: str) -> tuple[float, float]:
         """R@topk and the median QPS of ``QUERY_REPEATS`` passes after one
         untimed pass."""
-        broker = Broker(IndexStore(store_root), ef=ef)
-        out, _ = broker.benchmark(ds.queries, topk)
-        qps = [broker.benchmark(ds.queries, topk)[1].qps for _ in range(QUERY_REPEATS)]
+        with Broker(IndexStore(store_root), ef=ef) as broker:
+            out, _ = broker.benchmark(ds.queries, topk)
+            qps = [broker.benchmark(ds.queries, topk)[1].qps for _ in range(QUERY_REPEATS)]
         rec = float(
             np.mean(
                 [

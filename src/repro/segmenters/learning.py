@@ -6,8 +6,9 @@ across all shards (the paper notes shard data distributions are uniform
 because sharding is hash-based, so one segmenter fits every shard)."""
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import DataFrame
 
 from repro import npz
 from repro.segmenters.apd import learn_apd_segmenter
@@ -15,6 +16,9 @@ from repro.segmenters.base import Segmenter
 from repro.segmenters.hyperplane import HyperplaneTreeSegmenter
 from repro.segmenters.random_segmenter import RandomSegmenter
 from repro.segmenters.rh import learn_rh_segmenter
+
+if TYPE_CHECKING:  # a store reader (a searcher process) needs no Spark
+    from pyspark.sql import DataFrame
 
 SEGMENTER_KINDS = ("RS", "RH", "APD")
 

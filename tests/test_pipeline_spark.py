@@ -311,12 +311,12 @@ class TestQuery:
             probes = np.bincount(np.concatenate(routes), minlength=meta.n_segments)
             assert probes.min() >= graph._BATCH_MIN, probes  # per partition, in every shard
             res = query_index(spark, root, queries, 10, ef=ef).toPandas()
-            broker = Broker(store, ef=ef)
-            for q in range(len(queries)):
-                ids, dists = broker.search(queries[q], 10)
-                offline = res[res.query_id == q].sort_values("rank")
-                np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
-                np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)
+            with Broker(store, ef=ef) as broker:
+                for q in range(len(queries)):
+                    ids, dists = broker.search(queries[q], 10)
+                    offline = res[res.query_id == q].sort_values("rank")
+                    np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
+                    np.testing.assert_array_equal(offline["dist"].to_numpy(np.float32), dists)
 
 
 class TestEmptyPartitions:
@@ -345,19 +345,32 @@ class TestEmptyPartitions:
     def test_offline_and_online_agree(self, spark, tiny, k):
         ds, root, _ = tiny
         res = query_index(spark, root, ds.queries, k, ef=50).toPandas()
-        broker = Broker(IndexStore(root), ef=50)
-        for q in range(len(ds.queries)):
-            offline = res[res.query_id == q].sort_values("rank")
-            assert offline["rank"].tolist() == list(range(1, min(k, 12) + 1))
-            ids, _ = broker.search(ds.queries[q], k)
-            np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
+        with Broker(IndexStore(root), ef=50) as broker:
+            for q in range(len(ds.queries)):
+                offline = res[res.query_id == q].sort_values("rank")
+                assert offline["rank"].tolist() == list(range(1, min(k, 12) + 1))
+                ids, _ = broker.search(ds.queries[q], k)
+                np.testing.assert_array_equal(offline["neighbor_id"].to_numpy(), ids)
 
     @pytest.mark.parametrize("fault", ["lost-empty", "lost", "truncated", "pickled-empty"])
     def test_missing_partition_raises(self, spark, tiny, tmp_path, fault):
         """A lost, truncated or pickled file, empty partition or not, fails
         both paths loudly."""
+        self._check_broken_partition(spark, tiny, tmp_path, fault, last_shard=False)
+
+    @pytest.mark.parametrize("fault", ["lost-empty", "lost", "truncated", "pickled-empty"])
+    def test_missing_partition_in_last_shard_raises(self, spark, tiny, tmp_path, fault):
+        """The same, for a file of the last shard, which the Broker's
+        searcher process loads: its error comes back as the same class."""
+        self._check_broken_partition(spark, tiny, tmp_path, fault, last_shard=True)
+
+    @staticmethod
+    def _check_broken_partition(spark, tiny, tmp_path, fault, *, last_shard):
         ds, root, summary = tiny
-        lost = summary[(summary["n_items"] == 0) == fault.endswith("-empty")].iloc[0]
+        lost = summary[(summary["n_items"] == 0) == fault.endswith("-empty")]
+        if last_shard:
+            lost = lost[lost["shard_id"] == summary["shard_id"].max()]
+        lost = lost.iloc[0]
         broken = str(tmp_path / "broken")
         shutil.copytree(root, broken)
         path = Path(IndexStore(broken).index_path(lost["shard_id"], lost["segment_id"]))
