@@ -82,8 +82,6 @@ def spark_brute_force(
     metric: str = "l2",
     n_partitions: int = 8,
     checkpoint_dir: str | None = None,
-    id_col: str = "id",
-    vec_col: str = "vector",
 ) -> DataFrame:
     """Exact distributed top-k; returns (query_id, neighbor_id, dist, rank).
 
@@ -100,9 +98,9 @@ def spark_brute_force(
                 continue
             # Sort by id so within-partition distance ties resolve by id,
             # matching the oracle SQL's (dist, neighbor_id) ordering.
-            pdf = pdf.sort_values(id_col)
-            base = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
-            ids = pdf[id_col].to_numpy(np.int64)
+            pdf = pdf.sort_values("id")
+            base = np.stack(pdf["vector"].to_numpy()).astype(np.float32)
+            ids = pdf["id"].to_numpy(np.int64)
             nn_ids, nn_d = exact_topk(q, base, k, ids=ids, metric=metric)
             kk = nn_ids.shape[1]
             yield pd.DataFrame(
@@ -114,7 +112,7 @@ def spark_brute_force(
             )
 
     partials = (
-        base_df.select(id_col, vec_col)
+        base_df.select("id", "vector")
         .repartition(n_partitions)
         .mapInPandas(partial, schema=PARTIAL_SCHEMA)
     )

@@ -52,8 +52,6 @@ def build_index(
     ef_construction: int = 100,
     n_executors: int | None = None,
     seed: int = 0,
-    id_col: str = "id",
-    vec_col: str = "vector",
 ) -> pd.DataFrame:
     """Build a two-level partitioned LANNS index; returns the per-partition
     build summary (shard, segment, n_items, path, build_seconds)."""
@@ -62,11 +60,9 @@ def build_index(
     n_exec = executor_count(n_executors, n_shards * n_segments)
     store = IndexStore(store_root)
 
-    tagged = tag_partitions(
-        spark, df, segmenter, n_shards, spill=spill, id_col=id_col, vec_col=vec_col
-    )
+    tagged = tag_partitions(spark, df, segmenter, n_shards, spill=spill)
 
-    first = df.select(vec_col).head()
+    first = df.select("vector").head()
     if first is None:
         raise ValueError("cannot build an index from an empty input")
     dim = len(first[0])
@@ -86,9 +82,9 @@ def build_index(
             if grp is None:
                 vecs, ids = np.empty((0, dim), np.float32), np.empty(0, np.int64)
             else:
-                grp = grp.sort_values(id_col)  # deterministic: add_items refuses a repeated id
-                vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
-                ids = grp[id_col].to_numpy(np.int64)
+                grp = grp.sort_values("id")  # deterministic: add_items refuses a repeated id
+                vecs = np.stack(grp["vector"].to_numpy()).astype(np.float32)
+                ids = grp["id"].to_numpy(np.int64)
             yield pd.DataFrame([build_partition(store, s, m, vecs, ids, **hnsw)])
 
     summary = (

@@ -26,6 +26,9 @@ from repro.segmenters.learning import segmenter_from_bytes
 from repro.spark_worker import drop_zip_importers
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
+# A tagged point (``tag_partitions``) and a routed probe (``route_queries``).
+TAGGED_SCHEMA = "id long, vector array<float>, shard_id long, segment_id long"
+ROUTED_SCHEMA = "query_id long, vector array<float>, segment_id long, shard_id long"
 
 
 def shard_of(ids: np.ndarray, n_shards: int) -> np.ndarray:
@@ -66,8 +69,6 @@ def tag_partitions(
     n_shards: int,
     *,
     spill: str = "virtual",
-    id_col: str = "id",
-    vec_col: str = "vector",
 ) -> DataFrame:
     """Tag every data point with (shard_id, segment_id) — Fig 6's tagging.
 
@@ -83,19 +84,18 @@ def tag_partitions(
         for pdf in batches:
             if pdf.empty:
                 continue
-            ids = pdf[id_col].to_numpy(np.int64)
-            vecs = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
+            ids = pdf["id"].to_numpy(np.int64)
+            vecs = np.stack(pdf["vector"].to_numpy()).astype(np.float32)
             shards = shard_of(ids, n_shards)
             seg_lists = seg.assign(vecs, ids, spill=spill)
             counts = np.asarray([len(s) for s in seg_lists])
             rep = np.repeat(np.arange(len(ids)), counts)
-            out = pdf.iloc[rep][[id_col, vec_col]].reset_index(drop=True)
+            out = pdf.iloc[rep].reset_index(drop=True)
             out["shard_id"] = shards[rep]
             out["segment_id"] = np.concatenate(seg_lists) if len(seg_lists) else []
             yield out
 
-    schema = f"{id_col} long, {vec_col} array<float>, shard_id long, segment_id long"
-    return df.select(id_col, vec_col).mapInPandas(tag, schema=schema)
+    return df.select("id", "vector").mapInPandas(tag, schema=TAGGED_SCHEMA)
 
 
 def route_probes(
@@ -126,8 +126,6 @@ def route_queries(
     n_shards: int,
     *,
     spill: str = "virtual",
-    id_col: str = "query_id",
-    vec_col: str = "vector",
 ) -> DataFrame:
     """``route_probes`` over a query DataFrame: one output row per (query,
     shard, segment) probe, with the query's id and vector."""
@@ -140,12 +138,11 @@ def route_queries(
         for pdf in batches:
             if pdf.empty:
                 continue
-            vecs = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
+            vecs = np.stack(pdf["vector"].to_numpy()).astype(np.float32)
             rows, shards, segs = route_probes(seg, vecs, n_shards, spill=spill)
-            out = pdf.iloc[rows][[id_col, vec_col]].reset_index(drop=True)
+            out = pdf.iloc[rows].reset_index(drop=True)
             out["segment_id"] = segs
             out["shard_id"] = shards
             yield out
 
-    schema = f"{id_col} long, {vec_col} array<float>, segment_id long, shard_id long"
-    return queries_df.select(id_col, vec_col).mapInPandas(route, schema=schema)
+    return queries_df.select("query_id", "vector").mapInPandas(route, schema=ROUTED_SCHEMA)

@@ -18,37 +18,33 @@ paper's algorithms:
   query's probes of one partition), layer by layer: every step expands,
   for every query still searching, its closest result not yet expanded, so
   one gather of neighbor rows (padded neighbor matrices with a sentinel
-  node), one visited-bitmap lookup, one distance lookup or product and one
-  row sort serve them all. Each query's result list is a sorted row of
-  uint64 keys (float32 distance bits, node, "expanded" bit), so a query
-  takes the same steps and gets the same results as alone.
-- A distance table per query, on both paths, when the graph is small next
-  to the search (``_use_table``): one matrix-vector product gives the
-  query's surrogate to every node, and each expansion looks its fresh
-  neighbors up instead of gathering and multiplying their rows. On a
-  ~250-node segment at ef = 100, Alg 2 visits most of the graph anyway.
+  node), one visited-bitmap lookup, one product and one row sort serve
+  them all. Each query's result list is a sorted row of uint64 keys
+  (float32 distance bits, node, "expanded" bit), so a query takes the same
+  steps and gets the same results as alone.
+- A scan instead of either walk when the graph is small next to the search
+  (``_use_scan``): one matrix-vector product gives the query's surrogate
+  to every node, and the k smallest by (surrogate, node) are the result.
+  Insertion takes each layer's ef_construction candidates from the same
+  product, among that layer's nodes, with no ef=1 descent.
 - Alg 4 (SELECT-NEIGHBORS-HEURISTIC): diversity-aware neighbor selection
   with keepPrunedConnections, which is what keeps recall high on the
   clustered data the LANNS segmenters produce.
 
 Float bits: BLAS gives a row of a matrix-vector product of two or more rows
-the same bits, whichever rows are stacked, but takes another path (a dot
-product) for a single row. Without a table, fresh neighbors get one product
-of their gathered rows, so a single fresh neighbor gets a dot product. The
-serial table holds each node's distance both ways (one matrix-vector
-product, and one stacked product of single rows), and an expansion reads
-the one its count of fresh neighbors calls for. The lockstep table holds
-the first; a single fresh neighbor gets a one-row product there, and the
-entry point does on both paths. Every distance then has the bits the walk
-without a table gives it.
-
-Ties: both paths order results by (distance, node) on every layer, so they
-return bitwise-equal ids and distances, exact distance ties included.
+the same bits, whichever rows are stacked, but another (a dot product's)
+for a single row. The walks compute fresh neighbors as one product of their
+gathered rows, so the lockstep gives a single fresh neighbor, and both
+paths the entry point, a one-row product of its own. Both walks order
+results by (distance, node) on every layer, so the paths return bitwise
+equal ids and distances, exact ties included.
 
 Distances are computed internally as monotone surrogates (squared-L2
-offset by a per-query constant; negative inner product for cosine) and
-converted to true metric values only at the API boundary. Vectors and
-queries with NaN or inf are refused.
+offset by a per-query constant; negative inner product for cosine), which
+choose the k results. At the API boundary those k get true values (l2
+recomputed from the vectors in float64, as its surrogate loses float32
+precision when norms are large next to distances), ordered by (distance,
+node). Vectors and queries with NaN or inf are refused.
 """
 from __future__ import annotations
 
@@ -62,34 +58,36 @@ import numpy as np
 from repro import npz
 from repro.hnsw.distance import normalize_rows, validate_metric
 
-# A search() call with at least this many queries searches them in lockstep;
-# fewer go one at a time, the path insertion uses. Lockstep speed relative
-# to serial (M=12, ef_construction=100, one BLAS thread; the median of three
-# runs on 4 shared vCPUs), at 16 / 32 / 48 / 64 queries and at a full batch.
-# Inside the distance-table rule: sift_like (n=550, d=32, ef=160) 0.61 /
-# 1.00 / 1.25 / 1.48, 2.4 at 450; pymk_like (n=1971, d=16, ef=200) 0.66 /
-# 1.11 / 1.40 / 1.59, 1.9 at 197; groups_like (n=250, d=64, ef=100) 0.52 /
-# 0.89 / 1.15 / 1.32, 2.5 at 400. Outside it: groups_like (n=5076, d=64,
-# ef=200) 1.15 / 1.81 / 2.20 / 2.52, 3.4 at 400; neardupe_like (n=8000,
-# d=256, ef=200) 0.54 / 0.86 / 1.08 / 1.10, 1.5 at 400. The table speeds the
-# serial path up more than the lockstep, so on small graphs the crossover is
-# now about 32 queries (sift_like at 64: 2.42 without the table); a call also
-# pays O(n) to build the padded neighbor matrices. At 64 lockstep won on all
-# five.
+# A search() call with at least this many queries walks them in lockstep;
+# fewer go one at a time, the walk insertion uses. Neither runs inside the
+# scan rule (``_use_scan``). Lockstep speed relative to serial outside it
+# (M=12, ef_construction=100, one BLAS thread; the median of three runs on
+# 4 shared vCPUs), at 16 / 32 / 48 / 64 queries and at a full batch:
+# groups_like (n=5076, d=64, ef=200) 1.15 / 1.81 / 2.20 / 2.52, 3.4 at 400;
+# neardupe_like (n=8000, d=256, ef=200) 0.54 / 0.86 / 1.08 / 1.10, 1.5 at
+# 400. A call also pays O(n) to build the padded neighbor matrices.
 _BATCH_MIN = 64
-# Byte budget of the lockstep search's tables per query and node: a visited
-# bitmap (one bool), plus with the distance table one uint64 key. A batch is
-# searched in chunks of queries that fit it.
+# Byte budget of the lockstep search's visited bitmaps, one bool per query
+# and node. A batch is searched in chunks of queries that fit it.
 _VISITED_BYTES = 32 << 20
 
 
-def _use_table(n: int, ef: int, m0: int) -> bool:
+def _use_scan(n: int, ef: int, m0: int) -> bool:
     """Whether a search at ``ef`` over ``n`` nodes of layer-0 degree cap
-    ``m0`` first computes the query's distance to every node: when n + 1 is
-    at most ef * m0, the most distances one layer-0 walk can compute. Off it
-    (e.g. n=8000 at d=256, or n=20000 at d=32, both at ef=160 and M=12), the
-    one product over every node costs more than the walk's products."""
+    ``m0`` scans every node instead of walking the graph: when n + 1 is at
+    most ef * m0, the most distances one layer-0 walk can compute. This is
+    that bound, not a measured crossover."""
     return n + 1 <= ef * m0
+
+
+def _nearest(sur: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest entries of ``sur``, ordered by
+    (value, position); a tie at the k-th value goes to the lower position."""
+    if k < sur.size:
+        pos = np.flatnonzero(sur <= np.partition(sur, k - 1)[k - 1])
+    else:
+        pos = np.arange(sur.size)
+    return pos[np.argsort(sur[pos], kind="stable")[:k]]
 
 
 # Lockstep result keys (uint64): the order-preserving bits of the float32
@@ -189,32 +187,29 @@ class HNSWIndex:
         return self._ids
 
     # ------------------------------------------------------- internal kernels
-    def _surrogate(self, q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Monotone distance surrogate from prepped query to internal nodes."""
+    def _surrogate(self, q: np.ndarray, nodes: np.ndarray | slice) -> np.ndarray:
+        """Monotone distance surrogate from prepped query to internal nodes
+        (an index array, or a slice for one product over a run of nodes)."""
         v = self._data[nodes]
         if self.metric == "cosine":
             return -(v @ q)
         return self._sq_norms[nodes] - 2.0 * (v @ q)
 
-    def _table(self, q: np.ndarray, n: int, ef: int) -> tuple[list[float], list[float]] | None:
-        """``_surrogate`` from prepped ``q`` to nodes 0..n-1, or None when
-        ``_use_table`` says the walk computes fewer distances. Two lists, as
-        ``_surrogate`` gives a node's distance in a product of two or more
-        rows (one matrix-vector product) and alone (one dot product per row)."""
-        if not _use_table(n, ef, self.M0):
-            return None
-        data = self._data[:n]
-        dots = (data @ q, (data[:, None, :] @ q[:, None])[:, 0, 0])
-        if self.metric == "cosine":
-            return tuple((-dot).tolist() for dot in dots)
-        return tuple((self._sq_norms[:n] - 2.0 * dot).tolist() for dot in dots)
+    def _scan(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nodes nearest prepped ``q`` and their surrogates, in
+        (surrogate, node) order, from one matrix-vector product over every
+        node: what Alg 2 returns when it visits every node."""
+        sur = self._surrogate(q, slice(None))
+        best = _nearest(sur, k)
+        return best, sur[best]
 
-    def _true_dist(self, q_raw: np.ndarray, surrogate: np.ndarray) -> np.ndarray:
-        """Convert surrogate distances back to the metric's true values."""
+    def _true_dist(self, q: np.ndarray, nodes: np.ndarray, surrogate: np.ndarray) -> np.ndarray:
+        """True distances from prepped ``q`` to ``nodes``: from their
+        ``surrogate`` for cosine, from the vectors in float64 for l2."""
         if self.metric == "cosine":
             return (1.0 + surrogate).astype(np.float32)
-        qq = float(np.dot(q_raw, q_raw))
-        return np.sqrt(np.maximum(surrogate + qq, 0.0)).astype(np.float32)
+        diff = self._data[nodes].astype(np.float64) - q
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff)).astype(np.float32)
 
     def _search_layer(
         self,
@@ -222,16 +217,13 @@ class HNSWIndex:
         entry_points: list[tuple[float, int]],
         ef: int,
         level: int,
-        table: tuple[list[float], list[float]] | None,
     ) -> list[tuple[float, int]]:
         """Alg 2: ef-bounded best-first search in one layer.
 
         ``entry_points`` are (surrogate_dist, node) pairs; returns up to
         ``ef`` (surrogate_dist, node) pairs sorted ascending. This is
         ``_layer_batch``'s rule on one query: a key enters the results only
-        while they are fewer than ef or it sorts before the last. Fresh
-        neighbors read their distances from ``table`` (from ``_table``) when
-        there is one.
+        while they are fewer than ef or it sorts before the last.
         """
         links = self._links[level]
         visited = {n for _, n in entry_points}
@@ -249,10 +241,7 @@ class HNSWIndex:
             if not fresh:
                 continue
             visited.update(fresh)
-            if table is None:
-                nd = self._surrogate(q, np.asarray(fresh, dtype=np.int64)).tolist()
-            else:
-                nd = map((table[1] if len(fresh) == 1 else table[0]).__getitem__, fresh)
+            nd = self._surrogate(q, np.asarray(fresh, dtype=np.int64)).tolist()
             for key in zip(nd, fresh):
                 if len(results) < ef or key < results[-1]:
                     j = bisect(results, key)
@@ -348,29 +337,44 @@ class HNSWIndex:
         if self._entry < 0:
             self._entry = node
             return
-        # Alg 1: Alg 2 at ef=1 down to `level`, then at ef_construction and
-        # linking at each layer below. Layers above old_top hold only `node`.
-        ep = self._entry
-        w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
-        table = self._table(q, node, self.ef_construction)  # the nodes inserted so far
-        for lc in range(old_top, -1, -1):
-            w = self._search_layer(q, w, self.ef_construction if lc <= level else 1, lc, table)
-            if lc > level:
-                continue
-            m_cap = self.M0 if lc == 0 else self.M
-            neighbors = self._select_heuristic(q, w, self.M)
-            layer = self._links[lc]
-            layer[node] = list(neighbors)
-            for n in neighbors:
-                lst = layer.setdefault(n, [])
-                lst.append(node)
-                if len(lst) > m_cap:
-                    nd = self._surrogate(self._data[n], np.asarray(lst, dtype=np.int64))
-                    cand = sorted(zip(nd.tolist(), lst))
-                    layer[n] = self._select_heuristic(self._data[n], cand, m_cap)
+        if _use_scan(node, self.ef_construction, self.M0):
+            # The nodes inserted so far are few: each layer's candidates are
+            # its ef_construction nodes nearest q, from one product over all.
+            sur = self._surrogate(q, slice(node))
+            levels = np.asarray(self._levels[:node])
+            for lc in range(min(level, old_top), -1, -1):
+                layer = np.flatnonzero(levels >= lc)
+                best = layer[_nearest(sur[layer], self.ef_construction)]
+                self._link(node, lc, list(zip(sur[best].tolist(), best.tolist())))
+        else:
+            # Alg 1: Alg 2 at ef=1 down to `level`, then at ef_construction
+            # and linking at each layer below. Layers above old_top hold only
+            # `node`.
+            ep = self._entry
+            w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
+            for lc in range(old_top, -1, -1):
+                w = self._search_layer(q, w, self.ef_construction if lc <= level else 1, lc)
+                if lc <= level:
+                    self._link(node, lc, w)
         # A new topmost layer makes this node the global entry point.
         if level > old_top:
             self._entry = node
+
+    def _link(self, node: int, lc: int, w: list[tuple[float, int]]) -> None:
+        """Alg 1's linking at layer ``lc``: ``node`` takes Alg 4's pick of its
+        candidates ``w`` as neighbors, and each neighbor links back, pruned
+        by Alg 4 to the layer's degree cap."""
+        m_cap = self.M0 if lc == 0 else self.M
+        neighbors = self._select_heuristic(self._data[node], w, self.M)
+        layer = self._links[lc]
+        layer[node] = list(neighbors)
+        for n in neighbors:
+            lst = layer.setdefault(n, [])
+            lst.append(node)
+            if len(lst) > m_cap:
+                nd = self._surrogate(self._data[n], np.asarray(lst, dtype=np.int64))
+                cand = sorted(zip(nd.tolist(), lst))
+                layer[n] = self._select_heuristic(self._data[n], cand, m_cap)
 
     # ---------------------------------------------------------------- search
     def search(
@@ -379,8 +383,9 @@ class HNSWIndex:
         """Top-k search for each row of ``queries``.
 
         Returns ``(ids, dists)`` of shape (q, k'), k' = min(k, n_items),
-        ids are *external* ids, dists are true metric distances ascending.
-        A call with at least ``_BATCH_MIN`` rows searches them in lockstep.
+        ids are *external* ids, dists are true metric distances ascending,
+        ties by node. A small graph is scanned (``_use_scan``); otherwise a
+        call with at least ``_BATCH_MIN`` rows walks them in lockstep.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -398,23 +403,22 @@ class HNSWIndex:
             return out_ids, out_d
         ef_eff = max(ef if ef is not None else max(2 * k, 50), kk)
         prepped = normalize_rows(queries) if self.metric == "cosine" else queries
-        if queries.shape[0] >= _BATCH_MIN:
+        if _use_scan(n, ef_eff, self.M0):
+            found = (self._scan(q, kk) for q in prepped)
+        elif queries.shape[0] >= _BATCH_MIN:
             found = self._search_batch(prepped, ef_eff, kk)
         else:
             found = (self._search_one(q, ef_eff, kk) for q in prepped)
         for qi, (nodes, sur) in enumerate(found):
             q = prepped[qi]
             if nodes.shape[0] < kk:  # disconnected graph corner: backfill
-                missing = kk - nodes.shape[0]
-                rest = np.setdiff1d(
-                    np.arange(n, dtype=np.int64), nodes, assume_unique=False
-                )[:missing]
+                rest = np.setdiff1d(np.arange(n, dtype=np.int64), nodes)[: kk - nodes.shape[0]]
                 nodes = np.concatenate([nodes, rest])
                 sur = np.concatenate([sur, self._surrogate(q, rest).astype(np.float32)])
-                order = np.argsort(sur, kind="stable")
-                nodes, sur = nodes[order], sur[order]
-            out_ids[qi] = self._ids[nodes]
-            out_d[qi] = self._true_dist(queries[qi] if self.metric == "l2" else q, sur)
+            dist = self._true_dist(q, nodes, sur)
+            order = np.lexsort((nodes, dist))
+            out_ids[qi] = self._ids[nodes[order]]
+            out_d[qi] = dist[order]
         return out_ids, out_d
 
     def _search_one(
@@ -427,9 +431,8 @@ class HNSWIndex:
         """
         ep = self._entry
         w = [(float(self._surrogate(q, np.asarray([ep], dtype=np.int64))[0]), ep)]
-        table = self._table(q, self.n_items, ef)
         for lc in range(self.max_level, -1, -1):
-            w = self._search_layer(q, w, ef if lc == 0 else 1, lc, table)
+            w = self._search_layer(q, w, ef if lc == 0 else 1, lc)
         res = w[:k]
         nodes = np.asarray([n for _, n in res], dtype=np.int64)
         return nodes, np.asarray([d for d, _ in res], dtype=np.float32)
@@ -445,20 +448,14 @@ class HNSWIndex:
         links = self._padded_links()
         data = np.vstack([self._data, np.zeros((1, self.dim), np.float32)])
         sq_norms = np.append(self._sq_norms, np.float32(0.0))
-        use_table = _use_table(n, ef, self.M0)
-        chunk = max(1, _VISITED_BYTES // ((n + 1) * (9 if use_table else 1)))
+        chunk = max(1, _VISITED_BYTES // (n + 1))
         for lo in range(0, Q.shape[0], chunk):
             q = Q[lo : lo + chunk]
             ep = np.full(q.shape[0], self._entry, dtype=np.int64)
             ep_d = self._batch_surrogate(data, sq_norms, q, ep[:, None])[:, 0]
-            table = None
-            if use_table:  # one matrix-vector product per row, as in _table
-                dot = (data[None] @ q[:, :, None])[:, :, 0]
-                sur = -dot if self.metric == "cosine" else sq_norms - 2.0 * dot
-                table = _make_keys(sur, np.arange(n + 1)).ravel()
             for lc in range(self.max_level, -1, -1):
                 keys = self._layer_batch(
-                    data, sq_norms, q, ep, ep_d, links[lc], table, ef if lc == 0 else 1
+                    data, sq_norms, q, ep, ep_d, links[lc], ef if lc == 0 else 1
                 )
                 ep, ep_d = _key_node(keys[:, 0]), _key_dist(keys[:, 0])
             for row in keys:
@@ -499,16 +496,13 @@ class HNSWIndex:
         ep: np.ndarray,
         ep_d: np.ndarray,
         links: np.ndarray,
-        table: np.ndarray | None,
         ef: int,
     ) -> np.ndarray:
         """``_search_layer`` in one layer for every row of ``Q``, in lockstep.
 
         Each step expands, in every row still searching, its closest result
-        not yet expanded. ``table``, when given, holds the unexpanded key of
-        row b and node i at flat index b * (n + 1) + i, as the visited
-        bitmap does. Returns the (rows, ef) result keys, sorted per row,
-        with ``_EMPTY`` in unused slots.
+        not yet expanded. Returns the (rows, ef) result keys, sorted per
+        row, with ``_EMPTY`` in unused slots.
         """
         n = self.n_items
         keys = np.full((Q.shape[0], ef), _EMPTY)
@@ -538,10 +532,7 @@ class HNSWIndex:
             n_fresh = fresh.sum(axis=1)
             g = n_fresh.nonzero()[0]  # rows with fresh neighbors
             nb, fresh = nb[g], fresh[g]
-            if table is None:
-                new = _make_keys(self._batch_surrogate(data, sq_norms, Q[g], nb), nb)
-            else:
-                new = table[flat[g]]
+            new = _make_keys(self._batch_surrogate(data, sq_norms, Q[g], nb), nb)
             new = np.where(fresh, new, _EMPTY)
             one = (n_fresh[g] == 1).nonzero()[0]  # a single fresh node: a dot product
             if one.size:

@@ -27,7 +27,6 @@ def sample_vectors(
     df: DataFrame,
     *,
     n_sample: int,
-    vec_col: str = "vector",
     seed: int = 0,
 ) -> np.ndarray:
     """Uniform random subsample of a vector DataFrame, as a numpy matrix.
@@ -39,12 +38,12 @@ def sample_vectors(
     if total == 0:
         raise ValueError("cannot learn a segmenter from an empty dataset")
     if n_sample >= total:
-        pdf = df.select(vec_col).toPandas()
+        pdf = df.select("vector").toPandas()
     else:
         frac = min(1.0, 1.25 * n_sample / total)
-        pdf = df.select(vec_col).sample(fraction=frac, seed=seed).toPandas()
+        pdf = df.select("vector").sample(fraction=frac, seed=seed).toPandas()
         pdf = pdf.iloc[:n_sample]
-    return np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
+    return np.stack(pdf["vector"].to_numpy()).astype(np.float32)
 
 
 def learn_segmenter(

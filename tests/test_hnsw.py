@@ -3,13 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import npz
 from repro.bruteforce.local import exact_topk
 from repro.hnsw import graph
 from repro.hnsw.graph import HNSWIndex
-from repro.synth_data import gaussian_mixture
+from repro.synth_data import gaussian_mixture, neardupe_like
 
 
 def _recall(res_ids: np.ndarray, gt_ids: np.ndarray) -> float:
@@ -203,17 +203,20 @@ class TestSearch:
         does. Nodes a=0 and b=1 lie at distance 1 from q, and the entry e=2
         at distance 3 lists them as [b, a] at layer 1. Each is the other's
         only rival and a local minimum at layer 0, so the layer-1 choice is
-        the answer; a walk that kept list order would return b."""
+        the answer; a walk that kept list order would return b. Node 3, at
+        distance 5 on layer 0 only, puts the graph outside the scan rule."""
         blob = npz.pack({
             "scalars": np.array([2, 2, 10, 0, 2]),  # dim, M, ef_construction, seed, entry
             "metric": np.array("l2"),
-            "data": np.array([[1, 0], [-1, 0], [0, 3]], np.float32),
-            "ids": np.arange(3),
-            "levels": np.ones(3, np.uint8),
-            "degree": np.array([1, 1, 2, 1, 1, 2], np.uint8),  # layer 0, then layer 1
-            "neighbors": np.array([2, 2, 0, 1, 2, 2, 1, 0], np.uint8),
+            "data": np.array([[1, 0], [-1, 0], [0, 3], [0, -5]], np.float32),
+            "ids": np.arange(4),
+            "levels": np.array([1, 1, 1, 0], np.uint8),
+            "degree": np.array([1, 1, 2, 1, 1, 1, 2], np.uint8),  # layer 0, then layer 1
+            "neighbors": np.array([2, 2, 0, 1, 2, 2, 2, 1, 0], np.uint8),
         })
-        ids, dists = _both_paths(HNSWIndex.from_bytes(blob), np.zeros(2, np.float32), 1, ef=1)
+        idx = HNSWIndex.from_bytes(blob)
+        assert not graph._use_scan(idx.n_items, 1, idx.M0)
+        ids, dists = _both_paths(idx, np.zeros(2, np.float32), 1, ef=1)
         assert ids.tolist() == [[0]] and dists.tolist() == [[1.0]]
 
     def test_external_ids_not_row_indices(self):
@@ -251,44 +254,109 @@ class TestLockstep:
         np.testing.assert_array_equal(chunked[1], whole[1])
 
 
-class TestDistanceTable:
-    """A search that reads its distances from the per-query table gives the
-    bits of one that computes them along the walk, on both paths."""
+def _tied(g, n: int, repeat: int, dim: int = 8) -> np.ndarray:
+    """``n`` random rows of which each distinct one is stored ``repeat``
+    times, so exact distance ties are common."""
+    rows = g.normal(size=(-(-n // repeat), dim)).astype(np.float32)
+    return np.repeat(rows, repeat, axis=0)[:n]
+
+
+class TestScan:
+    """Inside ``_use_scan``'s rule (n + 1 <= ef * 2M) a search scans every
+    node and insertion takes its candidates from one product; outside it
+    both walk the graph."""
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
     @pytest.mark.parametrize("repeat", [1, 5, 20])
-    @pytest.mark.parametrize("n", [100, 500])
-    def test_table_and_walk_give_the_same_bits(self, metric, repeat, n):
-        """M=6 puts the rule at ef * 12 nodes: searched at ef=10 the graph of
-        100 is inside it and that of 500 outside; built at ef_construction=30
-        the graph of 500 leaves it at node 359. Rows repeat ``repeat`` times
-        and half the queries are stored rows, so exact ties are common."""
-        g = np.random.default_rng(n + repeat)
-        rows = g.normal(size=(-(-n // repeat), 8)).astype(np.float32)
-        base = np.repeat(rows, repeat, axis=0)[:n]
+    def test_scan_returns_the_exact_topk(self, metric, repeat):
+        """M=6 and ef=10 put the rule at 119 nodes, so the graph of 100 is
+        scanned. Half the queries are stored rows. Both paths return the
+        float64 top-k, ordered by (distance, node)."""
+        g = np.random.default_rng(repeat)
+        n, k = 100, 10
+        base = _tied(g, n, repeat)
         ids = g.permutation(10 * n)[:n]
         queries = np.vstack([base[:40], g.normal(size=(40, 8)).astype(np.float32)])
-        results, blobs = [], []
-        for rule in (lambda *a: True, lambda *a: False, graph._use_table):
-            with mock.patch.object(graph, "_use_table", rule):
-                idx = HNSWIndex(8, M=6, ef_construction=30, metric=metric, seed=3)
-                idx.add_items(base, ids)
-                blobs.append(idx.to_bytes())
-                results.append(_both_paths(idx, queries, 10, ef=10))
-        assert blobs[0] == blobs[1] == blobs[2]
-        for got in results[1:]:
-            for a, b in zip(results[0], got):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        idx = HNSWIndex(8, M=6, ef_construction=30, metric=metric, seed=3)
+        idx.add_items(base, ids)
+        assert graph._use_scan(n, 10, idx.M0)
+        got_ids, got_d = _both_paths(idx, queries, k, ef=10)
+        b, q = base.astype(np.float64), queries.astype(np.float64)
+        if metric == "l2":
+            d = np.sqrt(((q[:, None] - b[None]) ** 2).sum(axis=2))
+        else:
+            b /= np.linalg.norm(b, axis=1, keepdims=True)
+            d = 1.0 - (q / np.linalg.norm(q, axis=1, keepdims=True)) @ b.T
+        node_of = {int(i): r for r, i in enumerate(ids)}
+        for qi in range(len(queries)):
+            exact = np.lexsort((np.arange(n), d[qi]))[:k]
+            np.testing.assert_array_equal(got_ids[qi], ids[exact])
+            np.testing.assert_allclose(got_d[qi], d[qi, exact], rtol=1e-6, atol=1e-6)
+            keys = [(dist, node_of[i]) for dist, i in zip(got_d[qi].tolist(), got_ids[qi].tolist())]
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n, scans", [(119, True), (120, False)])
+    def test_rule_boundary(self, n, scans):
+        """At n + 1 == ef * 2M the scan runs, one node more and the walks
+        run, on both paths."""
+        g = np.random.default_rng(n)
+        idx = HNSWIndex(8, M=6, ef_construction=30, seed=0)
+        idx.add_items(g.normal(size=(n, 8)).astype(np.float32), np.arange(n))
+        assert (n + 1 == 10 * idx.M0) is scans and idx.M0 == 12
+        ran = {}
+        with mock.patch.object(HNSWIndex, "_scan", autospec=True, side_effect=HNSWIndex._scan) as scan, \
+                mock.patch.object(HNSWIndex, "_search_one", autospec=True,
+                                  side_effect=HNSWIndex._search_one) as one, \
+                mock.patch.object(HNSWIndex, "_search_batch", autospec=True,
+                                  side_effect=HNSWIndex._search_batch) as batch:
+            _both_paths(idx, g.normal(size=(3, 8)).astype(np.float32), 5, ef=10)
+            ran = {"scan": scan.call_count, "one": one.call_count, "batch": batch.call_count}
+        assert ran == ({"scan": 6, "one": 0, "batch": 0} if scans else {"scan": 0, "one": 3, "batch": 1})
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    @pytest.mark.parametrize("repeat", [1, 5, 20])
+    def test_rebuild_across_the_rule_is_byte_identical(self, metric, repeat):
+        """At M=6 and ef_construction=30 insertion scans up to node 359 and
+        walks from node 360 on. The graph of 500 is searched at ef=10, where
+        both paths walk it (501 > 120) and agree bitwise."""
+        assert graph._use_scan(359, 30, 12) and not graph._use_scan(360, 30, 12)
+        g = np.random.default_rng(500 + repeat)
+        base = _tied(g, 500, repeat)
+        queries = np.vstack([base[:40], g.normal(size=(40, 8)).astype(np.float32)])
+
+        def build():
+            idx = HNSWIndex(8, M=6, ef_construction=30, metric=metric, seed=3)
+            idx.add_items(base, np.arange(500))
+            return idx
+
+        idx = build()
+        assert idx.to_bytes() == build().to_bytes()
+        assert not graph._use_scan(idx.n_items, 10, idx.M0)
+        _both_paths(idx, queries, 10, ef=10)
+
+    @pytest.mark.parametrize("ef", [40, 100])
+    def test_l2_distances_near_float64_on_neardupe(self, ef):
+        """neardupe_like's norms are large next to its distances, where the
+        surrogate |v|^2 - 2 v.q loses float32 precision; the returned
+        distances are recomputed from the vectors. ef=40 walks (1501 > 960),
+        ef=100 scans."""
+        ds = neardupe_like(n=1500, n_queries=100, seed=3)
+        idx = HNSWIndex(ds.dim, M=12, ef_construction=100, seed=0)
+        idx.add_items(ds.base, ds.ids)
+        assert graph._use_scan(ds.n, ef, idx.M0) is (ef == 100)
+        ids, dists = _both_paths(idx, ds.queries, 30, ef=ef)
+        diff = ds.base[ids].astype(np.float64) - ds.queries[:, None].astype(np.float64)
+        np.testing.assert_allclose(dists, np.sqrt((diff**2).sum(axis=2)), rtol=1e-5)
+        assert (np.diff(dists, axis=1) >= 0).all()
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    n=st.integers(0, 300),
+    n=st.integers(24, 300),
     dim=st.integers(2, 12),
     metric=st.sampled_from(["l2", "cosine"]),
-    k=st.integers(1, 320),
-    ef=st.integers(1, 120),
+    k=st.integers(1, 25),
+    ef=st.integers(1, 25),
     seed=st.integers(0, 2**16),
     repeat=st.integers(1, 20),
 )
@@ -299,18 +367,19 @@ class TestDistanceTable:
 def test_property_lockstep_equals_one_at_a_time(n, dim, metric, k, ef, seed, repeat):
     """A lockstep call returns bitwise the (ids, dists) of the same rows
     searched one at a time. Each random row is stored ``repeat`` times under
-    its own ids, so exact distance ties are common; k may exceed n and ef
-    may be below k."""
+    its own ids, so exact distance ties are common; ef may be below k. The
+    graph is outside the scan rule, so both walks run."""
+    assume(not graph._use_scan(n, max(ef, min(k, n)), 12))
     g = np.random.default_rng(seed)
-    rows = g.normal(size=(-(-n // repeat), dim)).astype(np.float32)
     idx = HNSWIndex(dim, M=6, ef_construction=30, metric=metric, seed=seed)
-    idx.add_items(np.repeat(rows, repeat, axis=0)[:n], g.permutation(10 * n + 1)[:n])
+    idx.add_items(_tied(g, n, repeat, dim), g.permutation(10 * n + 1)[:n])
     queries = g.normal(size=(graph._BATCH_MIN + 4, dim)).astype(np.float32)
-    ids, dists = idx.search(queries, k, ef=ef)
-    for i, q in enumerate(queries):
-        one_ids, one_dists = idx.search(q, k, ef=ef)
-        np.testing.assert_array_equal(ids[i], one_ids[0])
-        np.testing.assert_array_equal(dists[i], one_dists[0])
+    with mock.patch.object(HNSWIndex, "_scan", side_effect=AssertionError("scanned")):
+        ids, dists = idx.search(queries, k, ef=ef)
+        for i, q in enumerate(queries):
+            one_ids, one_dists = idx.search(q, k, ef=ef)
+            np.testing.assert_array_equal(ids[i], one_ids[0])
+            np.testing.assert_array_equal(dists[i], one_dists[0])
 
 
 class TestCosine:

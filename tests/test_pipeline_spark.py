@@ -300,12 +300,17 @@ class TestQuery:
         on a store of duplicated vectors, whose exact ties both HNSW search
         paths must break alike. The broker searches one query per segment (the
         serial kernel); offline, every partition gets enough probes for the
-        lockstep kernel."""
+        lockstep kernel. Every partition of the APD store is inside the scan
+        rule, and every partition of the duplicates store outside it, so
+        there both walks run."""
         more = gaussian_mixture(n=2000, dim=12, n_clusters=16, n_queries=200, seed=51)
         np.testing.assert_array_equal(more.base, ds.base)  # the stores' data
         queries = more.queries
-        for root, ef in [(apd_store_root, 100), (dup_store_root, 10)]:
+        for root, ef, scans in [(apd_store_root, 100, True), (dup_store_root, 10, False)]:
             store = IndexStore(root)
+            for s, m in store.list_partitions():
+                idx = store.read_index(s, m)
+                assert graph._use_scan(idx.n_items, ef, idx.M0) is scans, (s, m, idx.n_items)
             meta = store.load_metadata()
             routes = store.load_segmenter().route(queries, spill=meta.spill)
             probes = np.bincount(np.concatenate(routes), minlength=meta.n_segments)
